@@ -10,6 +10,7 @@ buffer for contrast, and a CLI (``streamsieve``).
 from .algorithms import (
     MAX_SITE_COUNT,
     MIN_SITE_COUNT,
+    REPLAY_CAP,
     STEADY,
     STRETCHED,
     TILTED,
@@ -48,7 +49,6 @@ from .errors import (
     VectorFormatError,
 )
 from .lookup import (
-    REPLAY_CAP,
     StreamRecord,
     explode_records,
     explode_row,

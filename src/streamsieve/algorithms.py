@@ -30,8 +30,10 @@ itself); the minimum wins.  Weights are depth+1 for stretched and age for
 tilted, so the arriving item's tilted weight is zero and tilted never
 discards.  Scores are compared by exact integer cross-multiplication, ties
 preferring discard and then the smallest candidate.  Both profiles are
-evaluated by replaying this rule from T=0; a lock-guarded per-(profile, S)
-memo keeps the pure functions affordable under repeated calls.
+evaluated by replaying this rule from T=0.  Sequential callers step a
+``Selector``, which validates (algo, S) once and owns its curators; only the
+pointwise ``site_selection``/``*_assign`` go through a lock-guarded
+per-(profile, S) replay memo, and raise ReplayLimitError for T >= REPLAY_CAP.
 """
 
 from __future__ import annotations
@@ -40,10 +42,13 @@ import threading
 from array import array
 from dataclasses import dataclass
 
-from .errors import CapacityError, ConfigurationError
+from .errors import CapacityError, ConfigurationError, ReplayLimitError
 
 MIN_SITE_COUNT = 4
 MAX_SITE_COUNT = 1 << 20
+
+# replay work is O(T); beyond this it stops being a sane thing to do inline
+REPLAY_CAP = 1 << 22
 
 SCALAR_KINDS = ("steady", "stretched", "tilted")
 
@@ -179,6 +184,11 @@ def _validate_algorithm_sites(algo: Algorithm, S: int) -> None:
         raise ConfigurationError(
             f"hybrid segments cover {algo.total_sites} sites but S={S}"
         )
+
+
+def _segments(algo: Algorithm, S: int) -> tuple[tuple[str, int, int], ...]:
+    # a scalar rule is one segment covering all S sites
+    return algo.segment_layout() if algo.is_hybrid else ((algo.kind, S, 0),)
 
 
 # ---------------------------------------------------------------------------
@@ -334,20 +344,10 @@ class _GreedyCurator:
         self.sites.append(site)
         return site
 
-    def retained_times(self) -> list[int]:
-        return sorted(self.times)
-
-
-class _ReplayMemo:
-    __slots__ = ("curator", "selections")
-
-    def __init__(self, S: int, tilted: bool):
-        self.curator = _GreedyCurator(S, tilted)
-        self.selections = array("i")
-
 
 _memo_lock = threading.Lock()
-_replay_memos: dict[tuple[str, int], _ReplayMemo] = {}
+# (kind, S) -> (curator, selections so far; -1 = discard)
+_replay_memos: dict[tuple[str, int], tuple[_GreedyCurator, array]] = {}
 
 
 def _clear_replay_memos() -> None:
@@ -357,14 +357,19 @@ def _clear_replay_memos() -> None:
 
 
 def _greedy_selection(kind: str, S: int, T: int) -> int | None:
+    _require_capacity(kind, S, T)
+    if T + 1 > REPLAY_CAP:
+        raise ReplayLimitError(
+            f"pointwise {kind} selection replays from T=0; capped at T < {REPLAY_CAP}, got T={T}"
+        )
     key = (kind, S)
     with _memo_lock:
         memo = _replay_memos.get(key)
         if memo is None:
-            memo = _replay_memos[key] = _ReplayMemo(S, kind == "tilted")
-        selections = memo.selections
+            memo = _replay_memos[key] = (_GreedyCurator(S, kind == "tilted"), array("i"))
+        curator, selections = memo
         if len(selections) <= T:
-            step = memo.curator.step
+            step = curator.step
             append = selections.append
             for _ in range(T + 1 - len(selections)):
                 site = step()
@@ -377,7 +382,6 @@ def stretched_assign(S: int, T: int) -> int | None:
     """Site for arrival T under the stretched rule, or None to discard."""
     validate_site_count(S)
     _validate_time(T)
-    _require_capacity("stretched", S, T)
     return _greedy_selection("stretched", S, T)
 
 
@@ -385,15 +389,7 @@ def tilted_assign(S: int, T: int) -> int | None:
     """Site for arrival T under the tilted rule; never None within capacity."""
     validate_site_count(S)
     _validate_time(T)
-    _require_capacity("tilted", S, T)
     return _greedy_selection("tilted", S, T)
-
-
-_SCALAR_ASSIGN = {
-    "steady": steady_assign,
-    "stretched": stretched_assign,
-    "tilted": tilted_assign,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -409,31 +405,75 @@ def hybrid_assign(algo: Algorithm, S: int, T: int) -> frozenset[int]:
     _validate_algorithm_sites(algo, S)
     if not algo.is_hybrid:
         raise ConfigurationError(f"hybrid_assign needs a hybrid layout, got {algo}")
+    return site_selection(algo, S, T)
+
+
+def site_selection(algo: Algorithm, S: int, T: int) -> frozenset[int]:
+    """Uniform set-valued form of every rule (empty set = discard)."""
+    _validate_algorithm_sites(algo, S)
     _validate_time(T)
     picked = []
-    for sub_kind, sub_size, offset in algo.segment_layout():
-        site = _SCALAR_ASSIGN[sub_kind](sub_size, T)
+    for kind, size, offset in _segments(algo, S):
+        site = _steady_site(size, T) if kind == "steady" else _greedy_selection(kind, size, T)
         if site is not None:
             picked.append(offset + site)
     return frozenset(picked)
 
 
-def site_selection(algo: Algorithm, S: int, T: int) -> frozenset[int]:
-    """Uniform set-valued form of every rule (empty set = discard)."""
-    if algo.kind == "hybrid":
-        return hybrid_assign(algo, S, T)
-    _validate_algorithm_sites(algo, S)
-    site = _SCALAR_ASSIGN[algo.kind](S, T)
-    return frozenset(() if site is None else (site,))
+class Selector:
+    """Sequential selection for one (algo, S), validated once.
+
+    Owns one curator per greedy segment (a scalar rule is one segment), so
+    it never touches the memo.  step() returns the selection of arrival T
+    and advances T; callers check capacity up front.
+    """
+
+    __slots__ = ("T", "_parts")
+
+    def __init__(self, algo: Algorithm, S: int):
+        _validate_algorithm_sites(algo, S)
+        self.T = 0
+        self._parts = [
+            (offset, size, None if kind == "steady" else _GreedyCurator(size, kind == "tilted"))
+            for kind, size, offset in _segments(algo, S)
+        ]
+
+    def step(self) -> tuple[int, ...]:
+        T = self.T
+        self.T = T + 1
+        picked = []
+        for offset, size, curator in self._parts:
+            site = _steady_site(size, T) if curator is None else curator.step()
+            if site is not None:
+                picked.append(offset + site)
+        return tuple(picked)
+
+    def resume(self, T: int, writers) -> None:
+        """Position at arrival T from the last-writer table after T ingests.
+
+        A curator retains exactly its segment's last writers, so each one is
+        rebuilt from its slice of ``writers`` without a replay.
+        """
+        self.T = T
+        for offset, size, curator in self._parts:
+            if curator is None:
+                continue
+            written = sorted(
+                (tbar, k) for k, tbar in enumerate(writers[offset : offset + size])
+                if tbar is not None
+            )
+            curator.T = T
+            curator.times = [tbar for tbar, _ in written]
+            curator.sites = [k for _, k in written]
 
 
 def selection_stream(algo: Algorithm, S: int, count: int):
     """Yield the selection for each T in [0, count) as a tuple of sites.
 
-    One incremental pass: greedy profiles advance a private replay instead
-    of re-deriving every step from scratch.  Capacity is checked up front.
+    One incremental pass through a private Selector, so greedy profiles
+    never re-derive a step.  Capacity is checked up front.
     """
-    _validate_algorithm_sites(algo, S)
+    selector = Selector(algo, S)
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise ValueError(f"count must be a non-negative integer, got {count!r}")
     if count > 0 and not has_ingest_capacity(algo, S, count - 1):
@@ -441,27 +481,5 @@ def selection_stream(algo: Algorithm, S: int, count: int):
         raise CapacityError(
             f"{algo} with S={S} supports at most {cap} ingests, asked for {count}"
         )
-    return _selection_stream(algo, S, count)
-
-
-def _selection_stream(algo, S, count):
-    if algo.kind == "steady":
-        for T in range(count):
-            site = _steady_site(S, T)
-            yield () if site is None else (site,)
-    elif algo.kind in ("stretched", "tilted"):
-        curator = _GreedyCurator(S, algo.kind == "tilted")
-        for _ in range(count):
-            site = curator.step()
-            yield () if site is None else (site,)
-    else:
-        parts = [
-            (offset, _selection_stream(Algorithm(sub_kind), sub_size, count))
-            for sub_kind, sub_size, offset in algo.segment_layout()
-        ]
-        for _ in range(count):
-            sel = []
-            for offset, stream in parts:
-                for site in next(stream):
-                    sel.append(offset + site)
-            yield tuple(sel)
+    step = selector.step
+    return (step() for _ in range(count))

@@ -15,14 +15,13 @@ from time import perf_counter_ns
 from typing import NamedTuple
 
 from .algorithms import (
+    REPLAY_CAP,
     Algorithm,
-    _GreedyCurator,
-    _steady_site,
+    Selector,
     _validate_algorithm_sites,
     has_ingest_capacity,
     steady_assign,
 )
-from .lookup import REPLAY_CAP
 
 
 class BenchResult(NamedTuple):
@@ -65,24 +64,10 @@ def _time_steady(S: int, t_lo: int, t_hi: int) -> int:
 
 def _time_replay(algo: Algorithm, S: int, t_hi: int) -> int:
     # fresh state per replicate so every run pays the true per-step cost
-    if algo.kind in ("stretched", "tilted"):
-        steppers = [(_GreedyCurator(S, algo.kind == "tilted").step, None)]
-    else:
-        steppers = []
-        for sub_kind, sub_size, _ in algo.segment_layout():
-            if sub_kind == "steady":
-                steppers.append((_steady_site, sub_size))
-            else:
-                steppers.append(
-                    (_GreedyCurator(sub_size, sub_kind == "tilted").step, None)
-                )
+    step = Selector(algo, S).step
     t0 = perf_counter_ns()
-    for T in range(t_hi):
-        for step, sub_size in steppers:
-            if sub_size is None:
-                step()
-            else:
-                step(sub_size, T)
+    for _ in range(t_hi):
+        step()
     return perf_counter_ns() - t0
 
 

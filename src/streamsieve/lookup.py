@@ -18,9 +18,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algorithms import (
+    REPLAY_CAP,
     Algorithm,
     _steady_site,
     _validate_algorithm_sites,
+    _validate_time,
     epoch,
     has_ingest_capacity,
     parse_algorithm,
@@ -30,9 +32,6 @@ from .algorithms import (
 )
 from .errors import CapacityError, ReplayLimitError
 from .surface import unpack_slots_hex, validate_value_bits
-
-# replay work is O(T); beyond this it stops being a sane thing to do inline
-REPLAY_CAP = 1 << 22
 
 MAX_STEADY_T = (1 << 64) - 1
 
@@ -45,8 +44,7 @@ def lookup_replay(algo: Algorithm, S: int, T: int) -> list:
     cap and CapacityError when T exceeds the algorithm's supported length.
     """
     _validate_algorithm_sites(algo, S)
-    if not isinstance(T, int) or isinstance(T, bool) or T < 0:
-        raise ValueError(f"ingest counter must be a non-negative integer, got {T!r}")
+    _validate_time(T)
     if T > REPLAY_CAP:
         raise ReplayLimitError(
             f"replay lookup is capped at T <= {REPLAY_CAP}, got T={T}"

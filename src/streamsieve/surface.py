@@ -16,12 +16,7 @@ from __future__ import annotations
 
 import string
 
-from .algorithms import (
-    Algorithm,
-    _validate_algorithm_sites,
-    has_ingest_capacity,
-    site_selection,
-)
+from .algorithms import Algorithm, Selector, _validate_time, has_ingest_capacity
 from .errors import CapacityError, ConfigurationError, DomainError, HexFormatError
 
 VALID_VALUE_BITS = (1, 8, 16, 32, 64)
@@ -73,17 +68,20 @@ class Surface:
     ``T`` the number of items ingested so far.
     """
 
-    __slots__ = ("algo", "S", "T", "value_bits", "slots", "written")
+    __slots__ = ("algo", "S", "value_bits", "slots", "written", "_selector")
 
     def __init__(self, algo: Algorithm, S: int, value_bits: int):
-        _validate_algorithm_sites(algo, S)
+        self._selector = Selector(algo, S)
         validate_value_bits(value_bits)
         self.algo = algo
         self.S = S
-        self.T = 0
         self.value_bits = value_bits
         self.slots = [0] * S
         self.written = [False] * S
+
+    @property
+    def T(self) -> int:
+        return self._selector.T
 
     def ingest(self, value: int) -> frozenset[int]:
         """Store one arriving value; returns the selected sites.
@@ -101,12 +99,11 @@ class Surface:
             raise DomainError(
                 f"value {value!r} does not fit in {self.value_bits} bits"
             )
-        selection = site_selection(self.algo, self.S, self.T)
+        selection = self._selector.step()
         for k in selection:
             self.slots[k] = value
             self.written[k] = True
-        self.T += 1
-        return selection
+        return frozenset(selection)
 
     def to_hex(self) -> str:
         """Dump the slots as the canonical hex digest (T travels separately)."""
@@ -119,16 +116,16 @@ class Surface:
         """Rebuild a surface from a dump.
 
         Written flags are reconstructed from the lookup table: a site
-        counts as written exactly when some T' < T selected it.
+        counts as written exactly when some T' < T selected it.  The same
+        table positions the selector, so a greedy reload replays once.
         """
-        if not isinstance(T, int) or isinstance(T, bool) or T < 0:
-            raise ValueError(f"ingest counter must be a non-negative integer, got {T!r}")
+        _validate_time(T)
         surface = cls(algo, S, value_bits)
         slots = unpack_slots_hex(text, S, value_bits)
         from .lookup import last_write_times  # deferred: lookup imports this module
 
         entries = last_write_times(algo, S, T)
-        surface.T = T
+        surface._selector.resume(T, entries)
         surface.slots = slots
         surface.written = [entry is not None for entry in entries]
         return surface

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamsieve import (
+    REPLAY_CAP,
     STEADY,
     STRETCHED,
     TILTED,
     Algorithm,
     CapacityError,
     ConfigurationError,
+    ReplayLimitError,
     epoch,
     hanoi_value,
     has_ingest_capacity,
@@ -212,6 +214,18 @@ def test_greedy_capacity_errors(assign):
         assign(4, 14)
 
 
+def test_pointwise_greedy_replay_is_capped():
+    # within capacity but far past the replay cap: refused before any replay
+    with pytest.raises(ReplayLimitError):
+        tilted_assign(64, 2**40)
+    with pytest.raises(ReplayLimitError):
+        stretched_assign(64, REPLAY_CAP)
+    # tilted:64 is the smallest segment whose capacity exceeds 2**40, so the
+    # replay cap rather than CapacityError stops it
+    with pytest.raises(ReplayLimitError):
+        site_selection(hybrid(("steady", 64), ("tilted", 64)), 128, 2**40)
+
+
 # ---------------------------------------------------------------------------
 # hybrid
 
@@ -296,11 +310,35 @@ def test_site_selection_contract(case, T):
 
 
 def test_selection_stream_agrees_with_pointwise():
-    for algo, S in ((STEADY, 8), (STRETCHED, 8), (TILTED, 8), (hybrid(("steady", 8), ("tilted", 8)), 16)):
-        count = 200
+    cases = (
+        (STEADY, 8),
+        (STRETCHED, 8),
+        (TILTED, 8),
+        (hybrid(("steady", 8), ("tilted", 8)), 16),
+        (hybrid(("stretched", 4), ("steady", 8), ("tilted", 4)), 16),
+    )
+    for algo, S in cases:
+        count = min(200, stream_capacity(algo, S) or 200)
         streamed = list(selection_stream(algo, S, count))
         pointwise = [tuple(sorted(site_selection(algo, S, T))) for T in range(count)]
         assert [tuple(sorted(sel)) for sel in streamed] == pointwise, algo
+
+
+def test_selector_resume_matches_straight_run():
+    """Resuming from the last-writer table continues exactly like a replay."""
+    from streamsieve import lookup_replay
+    from streamsieve.algorithms import Selector
+
+    cases = ((STRETCHED, 8), (TILTED, 8), (hybrid(("stretched", 4), ("steady", 8), ("tilted", 4)), 16))
+    for algo, S in cases:
+        count = min(120, stream_capacity(algo, S))
+        straight = list(selection_stream(algo, S, count))
+        for at in range(count):
+            selector = Selector(algo, S)
+            selector.resume(at, lookup_replay(algo, S, at))
+            stop = min(at + 8, count)
+            assert [selector.step() for _ in range(at, stop)] == straight[at:stop], (algo, at)
+            assert selector.T == stop
 
 
 def test_selection_stream_checks_capacity_up_front():

@@ -96,6 +96,13 @@ def test_check_reports_unevaluable_rows():
     assert "vector 0" in messages[0]
 
 
+def test_check_reports_rows_past_the_replay_cap():
+    # an edited row deep in a greedy stream is a mismatch, not a hang
+    messages = check_vectors([TestVector("tilted", 64, 2**40, (0,))])
+    assert len(messages) == 1
+    assert "vector 0" in messages[0] and "capped" in messages[0]
+
+
 def test_csv_round_trip_and_determinism():
     vectors = generate_vectors(
         ["steady", "tilted", "hybrid(steady:4+steady:4)"], 8, 20, steady_extra=3

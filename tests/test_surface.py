@@ -145,13 +145,36 @@ def test_from_hex_accepts_huge_steady_T():
 
 def test_dump_reload_continue_matches_straight_run():
     """dump -> from_hex -> keep ingesting == never dumping at all."""
-    for algo, S in ((STEADY, 8), (TILTED, 8)):
+    cases = [
+        # (algo, S, reload points below, at and far past S, stream length)
+        (STEADY, 8, (5, 8, 200), 240),
+        (STRETCHED, 8, (5, 8, 200), 240),
+        (TILTED, 8, (5, 8, 200), 240),
+        # the 4-site greedy segments cap this stream at 14 ingests, so the
+        # reload points are taken against the segment sizes 4 and 8
+        (hybrid(("stretched", 4), ("steady", 8), ("tilted", 4)), 16, (3, 4, 8, 12), 14),
+    ]
+    for algo, S, reloads, count in cases:
+        for at in reloads:
+            a = Surface(algo, S, 8)
+            for T in range(at):
+                a.ingest(T % 256)
+            b = Surface.from_hex(algo, S, a.T, 8, a.to_hex())
+            assert b.T == at
+            for T in range(at, count):
+                assert b.ingest(T % 256) == a.ingest(T % 256), (algo, at, T)
+            assert (a.slots, a.written, a.T) == (b.slots, b.written, b.T), (algo, at)
+
+
+def test_sequential_paths_leave_replay_memo_empty():
+    """Greedy ingest and reload step their own selector, not the shared memo."""
+    from streamsieve import algorithms
+
+    algorithms._clear_replay_memos()
+    for algo, S in ((STRETCHED, 8), (TILTED, 8), (hybrid(("steady", 4), ("tilted", 4)), 8)):
         a = Surface(algo, S, 8)
-        for T in range(50):
-            a.ingest(T % 256)
+        for T in range(10):
+            a.ingest(T)
         b = Surface.from_hex(algo, S, a.T, 8, a.to_hex())
-        for T in range(50, 80):
-            a.ingest(T % 256)
-            b.ingest(T % 256)
-        assert a.slots == b.slots
-        assert a.written == b.written
+        b.ingest(10)
+    assert algorithms._replay_memos == {}
