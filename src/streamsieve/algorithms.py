@@ -30,9 +30,13 @@ itself); the minimum wins.  Weights are depth+1 for stretched and age for
 tilted, so the arriving item's tilted weight is zero and tilted never
 discards.  Scores are compared by exact integer cross-multiplication, ties
 preferring discard and then the smallest candidate.  Both profiles are
-evaluated by replaying this rule from T=0.  Sequential callers step a
-``Selector``, which validates (algo, S) once and owns its curators; only the
-pointwise ``site_selection``/``*_assign`` go through a lock-guarded
+evaluated by replaying this rule from T=0.  The replay never scans all S
+items: an interior item's gap only changes when a neighbour is evicted, and
+among items sharing a gap the heaviest one (oldest for tilted, newest for
+stretched) always scores strictly lowest, so each step compares one
+candidate per distinct gap (see ``_GreedyCurator``).  Sequential callers
+step a ``Selector``, which validates (algo, S) once and owns its curators;
+only the pointwise ``site_selection``/``*_assign`` go through a lock-guarded
 per-(profile, S) replay memo, and raise ReplayLimitError for T >= REPLAY_CAP.
 """
 
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import threading
 from array import array
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .errors import CapacityError, ConfigurationError, ReplayLimitError
@@ -49,6 +54,8 @@ MAX_SITE_COUNT = 1 << 20
 
 # replay work is O(T); beyond this it stops being a sane thing to do inline
 REPLAY_CAP = 1 << 22
+# the steady closed-form lookup takes T up to this
+MAX_STEADY_T = (1 << 64) - 1
 
 SCALAR_KINDS = ("steady", "stretched", "tilted")
 
@@ -299,50 +306,134 @@ class _GreedyCurator:
     """Incremental replay state for the weighted-eviction profiles.
 
     Keeps the retained ingest times sorted alongside the site each one
-    occupies.  step() scores the current arrival, applies the outcome, and
-    returns the selected site (None = discard).  O(S) per step.
+    occupies, and files every item but the newest in a gap bucket:
+    gap -> sorted times, where an item's gap is n = next - prev (prev = -1
+    before the oldest).  step() scores the current arrival, applies the
+    outcome, and returns the selected site (None = discard).
+
+    Why one candidate per bucket is exact.  An interior item b scores n / w,
+    where n is fixed until a neighbour is evicted and the weight w is T - b
+    (tilted) or b + 1 (stretched).  Items with the same n have distinct
+    weights, so the one with the largest weight scores strictly lowest: the
+    oldest for tilted, the newest for stretched.  No other member of the
+    bucket can win or tie, so comparing one extreme per bucket under the
+    tie rule (discard first, then the smallest time) picks exactly what a
+    scan of all S items picks.  The newest item's score and the stretched
+    discard (T - newest) / (T + 1) depend on T, so they are scored directly;
+    a stretched newest item, (T - prev) / (newest + 1), always scores above
+    that discard and is skipped.  Every comparison is exact integer
+    cross-multiplication.
+
+    An eviction re-buckets at most three items: the evicted item's left
+    and right neighbours and the previous newest, which becomes interior.
+    A discard changes no bucket.  A step therefore costs one comparison per
+    distinct gap (about 2 more per doubling of T/S) plus O(log S) bucket
+    edits and one list deletion, not an O(S) scan.
     """
 
-    __slots__ = ("S", "tilted", "T", "times", "sites")
+    __slots__ = ("S", "tilted", "T", "times", "sites", "buckets")
 
     def __init__(self, S: int, tilted: bool):
         self.S = S
         self.tilted = tilted
-        self.T = 0
-        self.times: list[int] = []
-        self.sites: list[int] = []
+        self.resume(0, [], [])
+
+    def resume(self, T: int, times: list[int], sites: list[int]) -> None:
+        """Adopt a retained set: ascending ingest times and their sites."""
+        self.T = T
+        self.times = times
+        self.sites = sites
+        self.buckets = buckets = {}
+        prev = -1
+        for i in range(len(times) - 1):
+            # ascending times, so every bucket comes out sorted
+            buckets.setdefault(times[i + 1] - prev, []).append(times[i])
+            prev = times[i]
 
     def step(self) -> int | None:
         T = self.T
-        if T < self.S:
-            self.times.append(T)
-            self.sites.append(T)
-            self.T = T + 1
-            return T
-        times = self.times
-        last = len(times) - 1
-        tilted = self.tilted
-        if tilted:
-            best_n, best_d = 1, 0  # the arrival's age weight is 0: discard = +inf
-        else:
-            best_n, best_d = T - times[last], T + 1
-        best_idx = -1
-        for idx in range(last + 1):
-            b = times[idx]
-            n = (times[idx + 1] if idx < last else T) - (times[idx - 1] if idx else -1)
-            d = (T - b) if tilted else (b + 1)
-            # exact n/d < best_n/best_d; candidate d >= 1 always, best_d == 0
-            # only while the best is the infinite tilted discard score
-            if best_d == 0 or n * best_d < best_n * d:
-                best_n, best_d, best_idx = n, d, idx
         self.T = T + 1
-        if best_idx < 0:
-            return None
-        site = self.sites.pop(best_idx)
-        times.pop(best_idx)
+        times = self.times
+        sites = self.sites
+        buckets = self.buckets
+        if T < self.S:
+            if T:  # the previous newest becomes interior
+                _rebucket(buckets, times[-1], 0, T - (times[-2] if T > 1 else -1))
+            times.append(T)
+            sites.append(T)
+            return T
+        last = len(times) - 1
+        newest = times[last]
+        # best is the winner's bucket; None while the newest item (or the
+        # discard) leads.  Ties go to the smaller time, and discard is -1.
+        # One loop per profile keeps a per-candidate branch out of the loop.
+        if self.tilted:
+            # the arrival's age weight is 0, so tilted never discards
+            best_n, best_d, best_b, best = T - times[last - 1], T - newest, newest, None
+            for g, bucket in buckets.items():
+                b = bucket[0]
+                d = T - b
+                x = g * best_d
+                y = best_n * d
+                if x <= y and (x < y or b < best_b):
+                    best_n, best_d, best_b, best = g, d, b, bucket
+        else:
+            # the newest item's gap exceeds T - newest and its weight is
+            # below T + 1, so it always scores above the discard: never wins
+            best_n, best_d, best_b, best = T - newest, T + 1, -1, None
+            for g, bucket in buckets.items():
+                b = bucket[-1]
+                d = b + 1
+                x = g * best_d
+                y = best_n * d
+                if x <= y and (x < y or b < best_b):
+                    best_n, best_d, best_b, best = g, d, b, bucket
+            if best_b < 0:
+                return None
+        if best is None:
+            # the newest goes; its left neighbour now reaches to T
+            idx = last
+            pp = times[last - 2]
+            _rebucket(buckets, times[last - 1], newest - pp, T - pp)
+        else:
+            if len(best) == 1:
+                del buckets[best_n]
+            elif self.tilted:
+                del best[0]
+            else:
+                best.pop()
+            idx = bisect_left(times, best_b)
+            prev = times[idx - 1] if idx else -1
+            nxt = times[idx + 1]
+            if idx:
+                pp = times[idx - 2] if idx > 1 else -1
+                _rebucket(buckets, prev, best_b - pp, nxt - pp)
+            if idx + 1 < last:
+                nn = times[idx + 2]
+                _rebucket(buckets, nxt, nn - best_b, nn - prev)
+                _rebucket(buckets, newest, 0, T - times[last - 1])
+            else:  # the right neighbour is the previous newest
+                _rebucket(buckets, nxt, 0, T - prev)
+        site = sites.pop(idx)
+        del times[idx]
         times.append(T)
-        self.sites.append(site)
+        sites.append(site)
         return site
+
+
+def _rebucket(buckets: dict[int, list[int]], b: int, old: int, new: int) -> None:
+    # move time b from bucket old (0 = in none) to bucket new
+    if old:
+        bucket = buckets[old]
+        if len(bucket) == 1:
+            del buckets[old]
+        else:
+            del bucket[bisect_left(bucket, b)]
+    bucket = buckets.get(new)
+    if bucket is None:
+        buckets[new] = [b]
+    else:
+        insort(bucket, b)
 
 
 _memo_lock = threading.Lock()
@@ -425,14 +516,19 @@ class Selector:
 
     Owns one curator per greedy segment (a scalar rule is one segment), so
     it never touches the memo.  step() returns the selection of arrival T
-    and advances T; callers check capacity up front.
+    and advances T; callers check capacity up front.  ``reload_limit`` is
+    the largest T at which a dump of this layout can be reloaded:
+    MAX_STEADY_T for the scalar steady rule, the only layout
+    ``last_write_times`` serves in closed form, and REPLAY_CAP for every
+    other layout, since those reload by replay.
     """
 
-    __slots__ = ("T", "_parts")
+    __slots__ = ("T", "reload_limit", "_parts")
 
     def __init__(self, algo: Algorithm, S: int):
         _validate_algorithm_sites(algo, S)
         self.T = 0
+        self.reload_limit = MAX_STEADY_T if algo.kind == "steady" else REPLAY_CAP
         self._parts = [
             (offset, size, None if kind == "steady" else _GreedyCurator(size, kind == "tilted"))
             for kind, size, offset in _segments(algo, S)
@@ -462,9 +558,7 @@ class Selector:
                 (tbar, k) for k, tbar in enumerate(writers[offset : offset + size])
                 if tbar is not None
             )
-            curator.T = T
-            curator.times = [tbar for tbar, _ in written]
-            curator.sites = [k for _, k in written]
+            curator.resume(T, [tbar for tbar, _ in written], [k for _, k in written])
 
 
 def selection_stream(algo: Algorithm, S: int, count: int):

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algorithms import (
+    MAX_STEADY_T,
     REPLAY_CAP,
     Algorithm,
     _steady_site,
@@ -32,8 +33,6 @@ from .algorithms import (
 )
 from .errors import CapacityError, ReplayLimitError
 from .surface import unpack_slots_hex, validate_value_bits
-
-MAX_STEADY_T = (1 << 64) - 1
 
 
 def lookup_replay(algo: Algorithm, S: int, T: int) -> list:

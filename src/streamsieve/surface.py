@@ -17,7 +17,13 @@ from __future__ import annotations
 import string
 
 from .algorithms import Algorithm, Selector, _validate_time, has_ingest_capacity
-from .errors import CapacityError, ConfigurationError, DomainError, HexFormatError
+from .errors import (
+    CapacityError,
+    ConfigurationError,
+    DomainError,
+    HexFormatError,
+    ReplayLimitError,
+)
 
 VALID_VALUE_BITS = (1, 8, 16, 32, 64)
 
@@ -87,19 +93,28 @@ class Surface:
         """Store one arriving value; returns the selected sites.
 
         An empty selection means the arrival was discarded.  The counter
-        advances either way.  Raises CapacityError before any state change
-        when the algorithm's supported stream length is exhausted, and
-        DomainError when the value does not fit the configured width.
+        advances either way.  Raises, before any state change,
+        CapacityError when the algorithm's supported stream length is
+        exhausted, ReplayLimitError when a dump taken after this ingest
+        could not be reloaded (T would pass the selector's reload limit),
+        and DomainError when the value does not fit the configured width.
         """
-        if not has_ingest_capacity(self.algo, self.S, self.T):
+        selector = self._selector
+        T = selector.T
+        if not has_ingest_capacity(self.algo, self.S, T):
             raise CapacityError(
-                f"{self.algo} with S={self.S} cannot ingest item T={self.T}"
+                f"{self.algo} with S={self.S} cannot ingest item T={T}"
+            )
+        if T >= selector.reload_limit:
+            raise ReplayLimitError(
+                f"{self.algo} with S={self.S} cannot ingest item T={T}: "
+                f"a dump past T={selector.reload_limit} cannot be reloaded"
             )
         if not isinstance(value, int) or isinstance(value, bool) or value < 0 or value >> self.value_bits:
             raise DomainError(
                 f"value {value!r} does not fit in {self.value_bits} bits"
             )
-        selection = self._selector.step()
+        selection = selector.step()
         for k in selection:
             self.slots[k] = value
             self.written[k] = True

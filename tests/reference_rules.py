@@ -4,6 +4,10 @@ Deliberately written with different machinery than the package: the greedy
 scorer uses fractions.Fraction instead of cross-multiplication, a dict
 buffer instead of parallel sorted lists, and recomputes everything from
 scratch per step.  Slow but obviously faithful to the stated rules.
+
+``ScanCurator`` is the package's former O(S)-per-step greedy curator, kept
+verbatim as the step-by-step oracle for the gap-bucket curator that
+replaced it.
 """
 
 from fractions import Fraction
@@ -66,3 +70,53 @@ def replay_last_writers(selections) -> dict:
         for k in sel if isinstance(sel, (tuple, list, set, frozenset)) else (sel,):
             out[k] = T
     return out
+
+
+class ScanCurator:
+    """Incremental replay state for the weighted-eviction profiles.
+
+    Keeps the retained ingest times sorted alongside the site each one
+    occupies.  step() scores the current arrival, applies the outcome, and
+    returns the selected site (None = discard).  O(S) per step.
+    """
+
+    __slots__ = ("S", "tilted", "T", "times", "sites")
+
+    def __init__(self, S: int, tilted: bool):
+        self.S = S
+        self.tilted = tilted
+        self.T = 0
+        self.times: list[int] = []
+        self.sites: list[int] = []
+
+    def step(self) -> int | None:
+        T = self.T
+        if T < self.S:
+            self.times.append(T)
+            self.sites.append(T)
+            self.T = T + 1
+            return T
+        times = self.times
+        last = len(times) - 1
+        tilted = self.tilted
+        if tilted:
+            best_n, best_d = 1, 0  # the arrival's age weight is 0: discard = +inf
+        else:
+            best_n, best_d = T - times[last], T + 1
+        best_idx = -1
+        for idx in range(last + 1):
+            b = times[idx]
+            n = (times[idx + 1] if idx < last else T) - (times[idx - 1] if idx else -1)
+            d = (T - b) if tilted else (b + 1)
+            # exact n/d < best_n/best_d; candidate d >= 1 always, best_d == 0
+            # only while the best is the infinite tilted discard score
+            if best_d == 0 or n * best_d < best_n * d:
+                best_n, best_d, best_idx = n, d, idx
+        self.T = T + 1
+        if best_idx < 0:
+            return None
+        site = self.sites.pop(best_idx)
+        times.pop(best_idx)
+        times.append(T)
+        self.sites.append(site)
+        return site

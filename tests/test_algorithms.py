@@ -29,8 +29,9 @@ from streamsieve import (
     tilted_assign,
     validate_site_count,
 )
+from streamsieve.algorithms import _GreedyCurator
 
-from reference_rules import greedy_selections, trailing_ones
+from reference_rules import ScanCurator, greedy_selections, trailing_ones
 
 SIZES = st.sampled_from([4, 8, 16, 32, 64, 128, 1024])
 
@@ -329,16 +330,61 @@ def test_selector_resume_matches_straight_run():
     from streamsieve import lookup_replay
     from streamsieve.algorithms import Selector
 
-    cases = ((STRETCHED, 8), (TILTED, 8), (hybrid(("stretched", 4), ("steady", 8), ("tilted", 4)), 16))
-    for algo, S in cases:
-        count = min(120, stream_capacity(algo, S))
+    cases = (
+        # (algo, S, stream length, resume every `stride` arrivals)
+        (STRETCHED, 8, 120, 1),
+        (TILTED, 8, 120, 1),
+        (hybrid(("stretched", 4), ("steady", 8), ("tilted", 4)), 16, 14, 1),
+        (STRETCHED, 64, 600, 7),
+        (TILTED, 64, 600, 7),
+        (hybrid(("tilted", 32), ("steady", 32)), 64, 400, 9),
+    )
+    for algo, S, count, stride in cases:
         straight = list(selection_stream(algo, S, count))
-        for at in range(count):
+        for at in range(0, count, stride):
             selector = Selector(algo, S)
             selector.resume(at, lookup_replay(algo, S, at))
             stop = min(at + 8, count)
             assert [selector.step() for _ in range(at, stop)] == straight[at:stop], (algo, at)
             assert selector.T == stop
+
+
+def _assert_steps_match(curator, scan, steps, label):
+    for _ in range(steps):
+        T = scan.T
+        assert curator.step() == scan.step(), (label, T)
+    assert (curator.times, curator.sites) == (scan.times, scan.sites), label
+    # the buckets kept up step by step equal those rebuilt from scratch
+    rebuilt = _GreedyCurator(curator.S, curator.tilted)
+    rebuilt.resume(curator.T, list(curator.times), list(curator.sites))
+    assert curator.buckets == rebuilt.buckets, label
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+def test_gap_bucket_curator_matches_scan(tilted):
+    """The bucketed step picks exactly what the O(S) scan picks, every step."""
+    for S, count in ((4, 14), (8, 254), (16, 8192), (64, 8192), (256, 8192), (1024, 3072)):
+        _assert_steps_match(_GreedyCurator(S, tilted), ScanCurator(S, tilted), count, (S, tilted))
+
+
+@pytest.mark.parametrize("T", [2**40, 2**63], ids=["2**40", "2**63"])
+def test_gap_bucket_curator_matches_scan_at_depth(T):
+    """Resumed deep in the stream, big-integer comparisons still agree."""
+    rng = random.Random(T)
+    for S in (8, 64, 256):
+        for tilted in (False, True):
+            # half spread over the whole stream, half packed near T, so both
+            # huge and small (often equal) gaps compete
+            picked = {rng.randrange(T) for _ in range(S // 2)}
+            while len(picked) < S:
+                picked.add(T - 1 - rng.randrange(4 * S))
+            times = sorted(picked)
+            sites = rng.sample(range(S), S)
+            curator = _GreedyCurator(S, tilted)
+            curator.resume(T, list(times), list(sites))
+            scan = ScanCurator(S, tilted)
+            scan.T, scan.times, scan.sites = T, list(times), list(sites)
+            _assert_steps_match(curator, scan, 500, (S, tilted, T))
 
 
 def test_selection_stream_checks_capacity_up_front():

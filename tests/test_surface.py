@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from streamsieve import (
+    REPLAY_CAP,
     STEADY,
     STRETCHED,
     TILTED,
@@ -14,7 +15,9 @@ from streamsieve import (
     ConfigurationError,
     DomainError,
     HexFormatError,
+    ReplayLimitError,
     Surface,
+    has_ingest_capacity,
     hybrid,
     pack_slots_hex,
     site_selection,
@@ -178,3 +181,34 @@ def test_sequential_paths_leave_replay_memo_empty():
         b = Surface.from_hex(algo, S, a.T, 8, a.to_hex())
         b.ingest(10)
     assert algorithms._replay_memos == {}
+
+
+def test_ingest_stops_at_the_reload_limit():
+    """No ingest takes a surface past the T at which its dump reloads.
+
+    Each surface is positioned one arrival below its limit from a synthetic
+    last-writer table, so no multi-million-step replay runs.
+    """
+    from streamsieve.lookup import MAX_STEADY_T
+
+    # capacity alone would let these greedy surfaces run past the replay cap
+    assert has_ingest_capacity(TILTED, 32, REPLAY_CAP + 1)
+    cases = (
+        (STEADY, 8, MAX_STEADY_T),
+        (STRETCHED, 32, REPLAY_CAP),
+        (TILTED, 32, REPLAY_CAP),
+        (hybrid(("steady", 4), ("steady", 4)), 8, REPLAY_CAP),
+        (hybrid(("steady", 32), ("tilted", 32)), 64, REPLAY_CAP),
+    )
+    for algo, S, limit in cases:
+        surface = Surface(algo, S, 8)
+        # distinct writers just below the resume point, in scrambled sites
+        writers = [limit - 1 - 3 * ((5 * k) % S) for k in range(S)]
+        surface._selector.resume(limit - 1, writers)
+        surface.ingest(1)
+        assert surface.T == limit
+        before = (list(surface.slots), list(surface.written))
+        with pytest.raises(ReplayLimitError):
+            surface.ingest(2)
+        assert surface.T == limit, algo
+        assert (surface.slots, surface.written) == before, algo
