@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from operator import itemgetter
 
 from .algorithms import parse_algorithm
 from .benchmark import BENCH_FIELDS, run_benchmark
@@ -47,39 +48,47 @@ def _cmd_explode(args) -> int:
     except OSError as exc:
         return _fail_usage(f"cannot read {args.input}: {exc}")
     with infile:
-        reader = csv.DictReader(infile)
-        fields = reader.fieldnames
+        reader = csv.reader(infile)
+        fields = next(reader, None)
         if fields is None:
             return _fail_usage(f"{args.input} has no header row")
         missing = [c for c in REQUIRED_INPUT_COLUMNS if c not in fields]
         if missing:
             return _fail_usage(f"{args.input} is missing columns: {', '.join(missing)}")
-        rows = list(reader)
+        rows = [cells for cells in reader if cells]
 
+    width = len(fields)
+    # a name's last cell wins, and the record's own columns override the
+    # input's, as when each record was a dict of its row
+    column = {name: i for i, name in enumerate(fields)}
+    algo_at, s_at, t_at, hex_at = (column[c] for c in REQUIRED_INPUT_COLUMNS)
+    column.update({name: width + i for i, name in enumerate(("dstream_row", *RECORD_COLUMNS))})
     out_fields = ["dstream_row", *fields, *RECORD_COLUMNS]
+    pick = itemgetter(*(column[name] for name in out_fields))
     rejects: list[tuple[int, str]] = []
     with open(args.output, "w", newline="") as outfile:
-        writer = csv.DictWriter(outfile, fieldnames=out_fields, lineterminator="\n")
-        writer.writeheader()
-        for ordinal, row in enumerate(rows):
+        writer = csv.writer(outfile, lineterminator="\n")
+        writer.writerow(out_fields)
+        for ordinal, cells in enumerate(rows):
+            if len(cells) > width:
+                rejects.append((ordinal, f"row has {len(cells)} cells but the header has {width}"))
+                continue
+            # a short row's missing cells read as None and write as empty
+            cells += [None] * (width - len(cells))
             try:
                 triples = explode_row(
-                    row["dstream_algo"],
-                    int(row["dstream_S"]),
-                    int(row["dstream_T"]),
+                    cells[algo_at],
+                    int(cells[s_at]),
+                    int(cells[t_at]),
                     args.value_bits,
-                    row["dstream_storage_hex"],
+                    cells[hex_at],
                 )
             except (ValueError, TypeError) as exc:
                 rejects.append((ordinal, str(exc)))
                 continue
-            for site, tbar, value in triples:
-                out = dict(row)
-                out["dstream_row"] = ordinal
-                out["dstream_site"] = site
-                out["dstream_Tbar"] = "" if tbar is None else tbar
-                out["dstream_value"] = "" if value is None else value
-                writer.writerow(out)
+            # unwritten sites carry None, which csv writes as an empty cell
+            head = (*cells, ordinal)
+            writer.writerows(pick(head + triple) for triple in triples)
 
     # the rejects report always exists so downstream scripts can rely on it
     with open(args.output + ".rejects", "w", newline="") as rejfile:

@@ -3,10 +3,10 @@
 Because site selection is pure in (algorithm, S, T), the contents of any
 surface can be indexed after the fact.  ``lookup_replay`` is the defining
 oracle: replay every selection and keep the last writer per site.  For the
-steady rule, ``lookup_steady_fast`` computes the same table by enumerating
-only the arrivals that were actually stored (per epoch, the ones whose
-hanoi value reaches the epoch), which is O(S * log^2 T) and practical at
-stream lengths where replay is not.
+steady rule, ``lookup_steady_fast`` computes the same table by resolving
+only the at most 2S arrivals that can still be retained (those whose hanoi
+value reaches one below the current epoch), which is O(S * log T) and
+practical at any depth up to 2**64 - 1, where replay is not.
 
 ``explode_records`` turns dumped (algo, S, T, width, hex) rows into one
 record per site, pairing each stored value with its reconstructed ingest
@@ -61,12 +61,29 @@ def lookup_replay(algo: Algorithm, S: int, T: int) -> list:
 
 
 def lookup_steady_fast(S: int, T: int) -> list:
-    """Steady lookup table without replay.
+    """Steady lookup table without replay, in O(S * log T).
 
-    Epoch 0 arrivals fill sites identically; epoch u stores exactly the
-    arrivals with T'+1 divisible by 2**u.  Enumerating those few arrivals
-    per epoch and resolving each site directly gives the last writer per
-    site in O(S * log^2 T).
+    Only arrivals that can still be retained are visited.  For T >= 1 let
+    t = epoch(S, T - 1), the last arrival's epoch.  Every item retained
+    after T arrivals has hanoi value >= t - 1 (below), so the candidates
+    are the T' < T with 2**max(t-1, 0) | T'+1: at most 2S of them, as
+    T <= S * 2**t.  They are resolved with ``_steady_site`` in ascending
+    order, discards skipped.  Each site's last writer is a candidate and
+    nothing later writes that site, so the last write wins.  Each
+    resolution walks down at most t epochs.
+
+    Why retained implies hanoi >= t - 1.  Epoch u >= 1 spans arrivals
+    [S * 2**(u-1), S * 2**u) and stores exactly those with 2**u | T'+1,
+    S/2 of them.  The i-th of them (i = (T'+1) / 2**u - S/2 - 1, so
+    0 <= i < S/2) goes to the site of X_i = (2i+1) * 2**(u-1) - 1:
+    one pass of the loop in ``_steady_site`` leaves it where the call for
+    X_i starts.  Let A_u be the S arrivals T' < S * 2**(u-1) with
+    2**(u-1) | T'+1.  By induction on u, the buffer holds exactly A_u, one
+    item per site, when epoch u begins.  A_1 is the epoch-0 fill.  The
+    X_i are exactly A_u's S/2 items of hanoi value u - 1, so epoch u
+    overwrites each of them once, with an arrival of hanoi >= u, and
+    leaves A_{u+1}.  So while epoch t runs, the buffer holds only items
+    of A_t and arrivals of epoch t, all with hanoi >= t - 1.
     """
     validate_site_count(S)
     if not isinstance(T, int) or isinstance(T, bool) or T < 0 or T > MAX_STEADY_T:
@@ -74,16 +91,12 @@ def lookup_steady_fast(S: int, T: int) -> list:
             f"ingest counter must be an integer in [0, 2**64 - 1], got {T!r}"
         )
     entries: list = [None] * S
-    for Tp in range(min(S, T)):
-        entries[Tp] = Tp
-    for u in range(1, epoch(S, T) + 1):
-        lo = S << (u - 1)
-        hi = min(S << u, T)
-        step = 1 << u
-        # lo is a multiple of 2**u, so the first storable arrival in the
-        # epoch is lo + 2**u - 1
-        for Tp in range(lo + step - 1, hi, step):
-            entries[_steady_site(S, Tp)] = Tp
+    if T:
+        step = 1 << max(epoch(S, T - 1) - 1, 0)
+        for Tp in range(step - 1, T, step):
+            site = _steady_site(S, Tp)
+            if site is not None:
+                entries[site] = Tp
     return entries
 
 

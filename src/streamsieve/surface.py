@@ -60,7 +60,7 @@ def unpack_slots_hex(text: str, S: int, value_bits: int) -> list[int]:
             f"expected {digits} hex digits for S={S} width={value_bits}, "
             f"got {text!r}"
         )
-    if not all(c in _HEX_DIGITS for c in text):
+    if not _HEX_DIGITS.issuperset(text):
         raise HexFormatError(f"non-hex digit in {text!r}")
     acc = int(text, 16)
     mask = (1 << value_bits) - 1

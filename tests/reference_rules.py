@@ -7,10 +7,14 @@ scratch per step.  Slow but obviously faithful to the stated rules.
 
 ``ScanCurator`` is the package's former O(S)-per-step greedy curator, kept
 verbatim as the step-by-step oracle for the gap-bucket curator that
-replaced it.
+replaced it.  ``epoch_walk_lookup`` is the package's former steady lookup,
+which walks every epoch, kept verbatim as the oracle for the lookup that
+visits only the arrivals that can still be retained.
 """
 
 from fractions import Fraction
+
+from streamsieve.algorithms import MAX_STEADY_T, _steady_site, epoch, validate_site_count
 
 
 def greedy_selections(kind: str, S: int, count: int) -> list:
@@ -120,3 +124,30 @@ class ScanCurator:
         times.append(T)
         self.sites.append(site)
         return site
+
+
+def epoch_walk_lookup(S: int, T: int) -> list:
+    """Steady lookup table without replay.
+
+    Epoch 0 arrivals fill sites identically; epoch u stores exactly the
+    arrivals with T'+1 divisible by 2**u.  Enumerating those few arrivals
+    per epoch and resolving each site directly gives the last writer per
+    site in O(S * log^2 T).
+    """
+    validate_site_count(S)
+    if not isinstance(T, int) or isinstance(T, bool) or T < 0 or T > MAX_STEADY_T:
+        raise ValueError(
+            f"ingest counter must be an integer in [0, 2**64 - 1], got {T!r}"
+        )
+    entries: list = [None] * S
+    for Tp in range(min(S, T)):
+        entries[Tp] = Tp
+    for u in range(1, epoch(S, T) + 1):
+        lo = S << (u - 1)
+        hi = min(S << u, T)
+        step = 1 << u
+        # lo is a multiple of 2**u, so the first storable arrival in the
+        # epoch is lo + 2**u - 1
+        for Tp in range(lo + step - 1, hi, step):
+            entries[_steady_site(S, Tp)] = Tp
+    return entries

@@ -99,6 +99,82 @@ class TestExplode:
         assert main(["explode", str(src), str(tmp_path / "o.csv")]) == 2
         assert main(["explode", str(src), str(tmp_path / "o.csv"), "--value-bits", "12"]) == 2
 
+    def test_long_and_short_rows(self, tmp_path, capsys):
+        # a row with more cells than the header is rejected and the batch
+        # goes on; a short row reads its missing cells as empty
+        src = tmp_path / "dumps.csv"
+        out = tmp_path / "long.csv"
+        src.write_text(
+            "dstream_algo,dstream_S,dstream_T,dstream_storage_hex,label\n"
+            "steady,4,8,0f0b110d,first,extra\n"
+            "steady,4,8,05010703\n"
+            "steady,4,8\n"
+            "steady,4,2,0a0b0000,last\n"
+        )
+        assert main(["explode", str(src), str(out), "--value-bits", "8"]) == 1
+        assert "2 of 4 rows rejected" in capsys.readouterr().err
+        with open(out, newline="") as fileobj:
+            rows = list(csv.DictReader(fileobj))
+        assert [r["dstream_row"] for r in rows] == ["1"] * 4 + ["3"] * 4
+        assert [r["label"] for r in rows] == [""] * 4 + ["last"] * 4
+        assert [r["dstream_Tbar"] for r in rows] == ["5", "1", "7", "3", "0", "1", "", ""]
+        with open(str(out) + ".rejects", newline="") as fileobj:
+            rejects = list(csv.DictReader(fileobj))
+        assert [r["dstream_row"] for r in rejects] == ["0", "2"]
+        assert rejects[0]["error"] == "row has 6 cells but the header has 5"
+        assert rejects[1]["error"].endswith("got None")  # the missing hex cell
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                # cells that need quoting, a blank line, a short row and
+                # unwritten sites
+                'label,dstream_algo,dstream_S,dstream_T,dstream_storage_hex,note\n'
+                '"a,b",steady,4,8,05010703,"say ""hi"""\n'
+                "\n"
+                "x,steady,4,2,0a0b0000\n"
+                '"q""",tilted,4,3,0a0b0c00,"two\nlines"\n',
+                "dstream_row,label,dstream_algo,dstream_S,dstream_T,dstream_storage_hex,note,"
+                "dstream_site,dstream_Tbar,dstream_value\n"
+                '0,"a,b",steady,4,8,05010703,"say ""hi""",0,5,5\n'
+                '0,"a,b",steady,4,8,05010703,"say ""hi""",1,1,1\n'
+                '0,"a,b",steady,4,8,05010703,"say ""hi""",2,7,7\n'
+                '0,"a,b",steady,4,8,05010703,"say ""hi""",3,3,3\n'
+                "1,x,steady,4,2,0a0b0000,,0,0,10\n"
+                "1,x,steady,4,2,0a0b0000,,1,1,11\n"
+                "1,x,steady,4,2,0a0b0000,,2,,\n"
+                "1,x,steady,4,2,0a0b0000,,3,,\n"
+                '2,"q""",tilted,4,3,0a0b0c00,"two\nlines",0,0,10\n'
+                '2,"q""",tilted,4,3,0a0b0c00,"two\nlines",1,1,11\n'
+                '2,"q""",tilted,4,3,0a0b0c00,"two\nlines",2,2,12\n'
+                '2,"q""",tilted,4,3,0a0b0c00,"two\nlines",3,,\n',
+            ),
+            (
+                # a repeated name takes its last cell; an input column named
+                # like an output column takes the record's value
+                "label,dstream_algo,dstream_S,dstream_T,dstream_storage_hex,label,"
+                "dstream_site,dstream_row\n"
+                "one,steady,4,3,05010703,two,s,r\n",
+                "dstream_row,label,dstream_algo,dstream_S,dstream_T,dstream_storage_hex,label,"
+                "dstream_site,dstream_row,dstream_site,dstream_Tbar,dstream_value\n"
+                "0,two,steady,4,3,05010703,two,0,0,0,0,5\n"
+                "0,two,steady,4,3,05010703,two,1,0,1,1,1\n"
+                "0,two,steady,4,3,05010703,two,2,0,2,2,7\n"
+                "0,two,steady,4,3,05010703,two,3,0,3,,\n",
+            ),
+        ],
+    )
+    def test_output_bytes_are_frozen(self, tmp_path, text, expected):
+        # frozen from the former writer, which wrote one dict per record
+        # with csv.DictWriter
+        src = tmp_path / "dumps.csv"
+        out = tmp_path / "long.csv"
+        src.write_text(text)
+        assert main(["explode", str(src), str(out), "--value-bits", "8"]) == 0
+        with open(out, newline="") as fileobj:
+            assert fileobj.read() == expected
+
 
 class TestValidate:
     def test_generate_then_check(self, tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Lookup table and explode tests."""
 
+import random
+
 import pytest
 
+import streamsieve.lookup
 from streamsieve import (
     REPLAY_CAP,
     STEADY,
@@ -18,8 +21,9 @@ from streamsieve import (
     lookup_steady_fast,
     site_selection,
 )
+from streamsieve.algorithms import MAX_STEADY_T
 
-from reference_rules import replay_last_writers
+from reference_rules import epoch_walk_lookup, replay_last_writers
 
 
 def test_lookup_replay_examples():
@@ -76,6 +80,47 @@ def test_fast_lookup_far_past_replay_range():
     for k, tbar in enumerate(entries):
         assert tbar < 2**32
         assert site_selection(STEADY, 64, tbar) == {k}
+
+
+@pytest.mark.parametrize("S", [4, 8, 16, 64])
+def test_fast_lookup_matches_epoch_walk_exhaustively(S):
+    for T in range(4096):
+        assert lookup_steady_fast(S, T) == epoch_walk_lookup(S, T), (S, T)
+
+
+@pytest.mark.parametrize("S", [1 << s for s in range(2, 11)])
+def test_fast_lookup_matches_epoch_walk_at_epoch_boundaries(S):
+    u = 0
+    while (S << u) - 1 <= MAX_STEADY_T:
+        for T in ((S << u) - 1, S << u, (S << u) + 1):
+            if T <= MAX_STEADY_T:
+                assert lookup_steady_fast(S, T) == epoch_walk_lookup(S, T), (S, T)
+        u += 1
+    assert lookup_steady_fast(S, MAX_STEADY_T) == epoch_walk_lookup(S, MAX_STEADY_T)
+
+
+def test_fast_lookup_matches_epoch_walk_at_random_depths():
+    rng = random.Random(20260418)
+    for _ in range(200):
+        S, T = 1 << rng.randrange(2, 11), rng.randrange(1 << 64)
+        assert lookup_steady_fast(S, T) == epoch_walk_lookup(S, T), (S, T)
+
+
+def test_fast_lookup_resolves_at_most_2S_arrivals(monkeypatch):
+    calls = []
+
+    def counting(S, T):
+        calls.append(T)
+        return _steady_site(S, T)
+
+    _steady_site = streamsieve.lookup._steady_site
+    monkeypatch.setattr(streamsieve.lookup, "_steady_site", counting)
+    for S in (4, 64, 1024):
+        for T in (S + 1, 2 * S, 3 * S, 1 << 40, MAX_STEADY_T):
+            calls.clear()
+            lookup_steady_fast(S, T)
+            assert len(calls) <= 2 * S, (S, T, len(calls))
+            assert calls == sorted(calls)
 
 
 def test_last_write_times_dispatch():
