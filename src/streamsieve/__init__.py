@@ -49,8 +49,6 @@ from .errors import (
     VectorFormatError,
 )
 from .lookup import (
-    StreamRecord,
-    explode_records,
     explode_row,
     last_write_times,
     lookup_replay,
@@ -88,7 +86,6 @@ __all__ = [
     "STEADY",
     "STRETCHED",
     "SequenceError",
-    "StreamRecord",
     "StreamSieveError",
     "Surface",
     "TILTED",
@@ -99,7 +96,6 @@ __all__ = [
     "check_vectors",
     "density_monotonicity_check",
     "epoch",
-    "explode_records",
     "explode_row",
     "generate_vectors",
     "hanoi_value",

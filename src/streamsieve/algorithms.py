@@ -37,7 +37,16 @@ stretched) always scores strictly lowest, so each step compares one
 candidate per distinct gap (see ``_GreedyCurator``).  Sequential callers
 step a ``Selector``, which validates (algo, S) once and owns its curators;
 only the pointwise ``site_selection``/``*_assign`` go through a lock-guarded
-per-(profile, S) replay memo, and raise ReplayLimitError for T >= REPLAY_CAP.
+per-(profile, S) replay memo.
+
+How far a layout goes is decided here.  Its capacity is 2**size - 2 for
+its smallest greedy segment, None when all are steady.  ``_refuse`` holds n
+arrivals to the bound a path applies (ReplayLimitError), then to capacity
+(CapacityError).  Pointwise selection of arrival T (n = T + 1) applies
+REPLAY_CAP when a greedy segment exists, as do ``lookup_replay`` and replay
+benchmark windows; ``last_write_times``, ``Surface.from_hex`` and
+``explode_row`` apply the selector's reload limit; ``selection_stream``
+applies capacity only.
 """
 
 from __future__ import annotations
@@ -187,7 +196,7 @@ def _validate_algorithm_sites(algo: Algorithm, S: int) -> None:
     if not isinstance(algo, Algorithm):
         raise ConfigurationError(f"expected an Algorithm, got {algo!r}")
     validate_site_count(S)
-    if algo.is_hybrid and algo.total_sites != S:
+    if algo.segments and algo.total_sites != S:
         raise ConfigurationError(
             f"hybrid segments cover {algo.total_sites} sites but S={S}"
         )
@@ -195,7 +204,7 @@ def _validate_algorithm_sites(algo: Algorithm, S: int) -> None:
 
 def _segments(algo: Algorithm, S: int) -> tuple[tuple[str, int, int], ...]:
     # a scalar rule is one segment covering all S sites
-    return algo.segment_layout() if algo.is_hybrid else ((algo.kind, S, 0),)
+    return algo.segment_layout() if algo.segments else ((algo.kind, S, 0),)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +237,16 @@ def epoch(S: int, T: int) -> int:
 # capacity
 
 
+def _capacity(algo: Algorithm, S: int) -> int | None:
+    # ingests a layout supports: 2**size - 2 for its smallest greedy
+    # segment (a scalar rule is one segment of S sites), None if all steady
+    smallest = None if algo.segments or algo.kind == "steady" else S
+    for kind, size in algo.segments:
+        if kind != "steady" and (smallest is None or size < smallest):
+            smallest = size
+    return None if smallest is None else (1 << smallest) - 2
+
+
 def stream_capacity(algo: Algorithm, S: int) -> int | None:
     """Maximum number of ingests the rule supports, or None if unbounded.
 
@@ -235,17 +254,7 @@ def stream_capacity(algo: Algorithm, S: int) -> int | None:
     items; a hybrid is bounded by its tightest segment.
     """
     _validate_algorithm_sites(algo, S)
-    if algo.kind == "steady":
-        return None
-    if algo.kind in ("stretched", "tilted"):
-        return (1 << S) - 2
-    cap = None
-    for sub_kind, sub_size, _ in algo.segment_layout():
-        if sub_kind == "steady":
-            continue
-        sub_cap = (1 << sub_size) - 2
-        cap = sub_cap if cap is None else min(cap, sub_cap)
-    return cap
+    return _capacity(algo, S)
 
 
 def has_ingest_capacity(algo: Algorithm, S: int, T: int) -> bool:
@@ -256,12 +265,15 @@ def has_ingest_capacity(algo: Algorithm, S: int, T: int) -> bool:
     return cap is None or T + 1 <= cap
 
 
-def _require_capacity(kind: str, S: int, T: int) -> None:
-    # scalar fast path: only stretched/tilted are bounded
-    if T + 1 > (1 << S) - 2:
+def _refuse(algo: Algorithm, S: int, count: int, capacity: int | None, bound: int | None) -> None:
+    # the one check on an arrival count: the bound a path applies, then capacity
+    if bound is not None and count > bound:
+        raise ReplayLimitError(
+            f"{algo} with S={S} is capped at {bound} arrivals, asked for {count}"
+        )
+    if capacity is not None and count > capacity:
         raise CapacityError(
-            f"{kind} with S={S} supports at most {(1 << S) - 2} ingests; "
-            f"item T={T} is out of range"
+            f"{algo} with S={S} supports at most {capacity} ingests, asked for {count}"
         )
 
 
@@ -448,11 +460,7 @@ def _clear_replay_memos() -> None:
 
 
 def _greedy_selection(kind: str, S: int, T: int) -> int | None:
-    _require_capacity(kind, S, T)
-    if T + 1 > REPLAY_CAP:
-        raise ReplayLimitError(
-            f"pointwise {kind} selection replays from T=0; capped at T < {REPLAY_CAP}, got T={T}"
-        )
+    # site_selection has refused T past capacity and REPLAY_CAP
     key = (kind, S)
     with _memo_lock:
         memo = _replay_memos.get(key)
@@ -471,16 +479,12 @@ def _greedy_selection(kind: str, S: int, T: int) -> int | None:
 
 def stretched_assign(S: int, T: int) -> int | None:
     """Site for arrival T under the stretched rule, or None to discard."""
-    validate_site_count(S)
-    _validate_time(T)
-    return _greedy_selection("stretched", S, T)
+    return next(iter(site_selection(STRETCHED, S, T)), None)
 
 
 def tilted_assign(S: int, T: int) -> int | None:
     """Site for arrival T under the tilted rule; never None within capacity."""
-    validate_site_count(S)
-    _validate_time(T)
-    return _greedy_selection("tilted", S, T)
+    return next(iter(site_selection(TILTED, S, T)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +504,16 @@ def hybrid_assign(algo: Algorithm, S: int, T: int) -> frozenset[int]:
 
 
 def site_selection(algo: Algorithm, S: int, T: int) -> frozenset[int]:
-    """Uniform set-valued form of every rule (empty set = discard)."""
+    """Uniform set-valued form of every rule (empty set = discard).
+
+    A greedy segment replays from T=0, so a layout with one is held to
+    REPLAY_CAP as well as to its capacity.
+    """
     _validate_algorithm_sites(algo, S)
     _validate_time(T)
+    capacity = _capacity(algo, S)
+    if capacity is not None:
+        _refuse(algo, S, T + 1, capacity, REPLAY_CAP)
     picked = []
     for kind, size, offset in _segments(algo, S):
         site = _steady_site(size, T) if kind == "steady" else _greedy_selection(kind, size, T)
@@ -516,18 +527,20 @@ class Selector:
 
     Owns one curator per greedy segment (a scalar rule is one segment), so
     it never touches the memo.  step() returns the selection of arrival T
-    and advances T; callers check capacity up front.  ``reload_limit`` is
-    the largest T at which a dump of this layout can be reloaded:
+    and advances T; callers check capacity up front.  ``capacity`` is the
+    layout's supported ingest count (None if unbounded).  ``reload_limit``
+    is the largest T at which a dump of this layout can be reloaded:
     MAX_STEADY_T for the scalar steady rule, the only layout
     ``last_write_times`` serves in closed form, and REPLAY_CAP for every
     other layout, since those reload by replay.
     """
 
-    __slots__ = ("T", "reload_limit", "_parts")
+    __slots__ = ("T", "capacity", "reload_limit", "_parts")
 
     def __init__(self, algo: Algorithm, S: int):
         _validate_algorithm_sites(algo, S)
         self.T = 0
+        self.capacity = _capacity(algo, S)
         self.reload_limit = MAX_STEADY_T if algo.kind == "steady" else REPLAY_CAP
         self._parts = [
             (offset, size, None if kind == "steady" else _GreedyCurator(size, kind == "tilted"))
@@ -548,7 +561,8 @@ class Selector:
         """Position at arrival T from the last-writer table after T ingests.
 
         A curator retains exactly its segment's last writers, so each one is
-        rebuilt from its slice of ``writers`` without a replay.
+        rebuilt from its slice of ``writers`` without a replay (an
+        all-steady layout passes None).
         """
         self.T = T
         for offset, size, curator in self._parts:
@@ -570,10 +584,6 @@ def selection_stream(algo: Algorithm, S: int, count: int):
     selector = Selector(algo, S)
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise ValueError(f"count must be a non-negative integer, got {count!r}")
-    if count > 0 and not has_ingest_capacity(algo, S, count - 1):
-        cap = stream_capacity(algo, S)
-        raise CapacityError(
-            f"{algo} with S={S} supports at most {cap} ingests, asked for {count}"
-        )
+    _refuse(algo, S, count, selector.capacity, None)
     step = selector.step
     return (step() for _ in range(count))

@@ -18,9 +18,9 @@ from .algorithms import (
     REPLAY_CAP,
     Algorithm,
     Selector,
-    _validate_algorithm_sites,
-    has_ingest_capacity,
+    _refuse,
     steady_assign,
+    stream_capacity,
 )
 
 
@@ -38,7 +38,7 @@ class BenchResult(NamedTuple):
 BENCH_FIELDS = ("algo", "S", "T_lo", "T_hi", "items", "total_ns", "ns_per_item", "replicate")
 
 
-def _validate_window(algo: Algorithm, S: int, window) -> tuple[int, int]:
+def _validate_window(algo: Algorithm, S: int, capacity: int | None, window) -> tuple[int, int]:
     t_lo, t_hi = window
     if not (isinstance(t_lo, int) and isinstance(t_hi, int)) or t_lo < 0 or t_hi <= t_lo:
         raise ValueError(f"bad depth window {window!r}")
@@ -47,10 +47,7 @@ def _validate_window(algo: Algorithm, S: int, window) -> tuple[int, int]:
             raise ValueError(
                 f"{algo} is replay-defined; depth windows must start at 0, got {window!r}"
             )
-        if t_hi > REPLAY_CAP:
-            raise ValueError(f"replay windows are capped at {REPLAY_CAP}, got {window!r}")
-        if not has_ingest_capacity(algo, S, t_hi - 1):
-            raise ValueError(f"window {window!r} exceeds capacity of {algo} at S={S}")
+        _refuse(algo, S, t_hi, capacity, REPLAY_CAP)
     return t_lo, t_hi
 
 
@@ -84,9 +81,9 @@ def run_benchmark(algo: Algorithm, sizes, windows, replicates: int) -> list[Benc
         raise ValueError("need at least one depth window")
     plans = []
     for S in sizes:
-        _validate_algorithm_sites(algo, S)
+        capacity = stream_capacity(algo, S)  # validates (algo, S)
         for window in windows:
-            plans.append((S, *_validate_window(algo, S, window)))
+            plans.append((S, *_validate_window(algo, S, capacity, window)))
     results = []
     token = algo.token()
     for S, t_lo, t_hi in plans:

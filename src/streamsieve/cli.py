@@ -18,7 +18,7 @@ import csv
 import sys
 from operator import itemgetter
 
-from .algorithms import parse_algorithm
+from .algorithms import MAX_SITE_COUNT, parse_algorithm
 from .benchmark import BENCH_FIELDS, run_benchmark
 from .conformance import (
     DEFAULT_SEED,
@@ -29,7 +29,7 @@ from .conformance import (
 )
 from .errors import StreamSieveError, VectorFormatError
 from .lookup import explode_row, last_write_times
-from .surface import VALID_VALUE_BITS
+from .surface import VALID_VALUE_BITS, hex_digest_length
 
 REQUIRED_INPUT_COLUMNS = ("dstream_algo", "dstream_S", "dstream_T", "dstream_storage_hex")
 RECORD_COLUMNS = ("dstream_site", "dstream_Tbar", "dstream_value")
@@ -47,15 +47,22 @@ def _cmd_explode(args) -> int:
         infile = open(args.input, newline="")
     except OSError as exc:
         return _fail_usage(f"cannot read {args.input}: {exc}")
-    with infile:
-        reader = csv.reader(infile)
-        fields = next(reader, None)
-        if fields is None:
-            return _fail_usage(f"{args.input} has no header row")
-        missing = [c for c in REQUIRED_INPUT_COLUMNS if c not in fields]
-        if missing:
-            return _fail_usage(f"{args.input} is missing columns: {', '.join(missing)}")
-        rows = [cells for cells in reader if cells]
+    # the longest legal dump reads as a cell (a wrong one is a row reject)
+    field_limit = csv.field_size_limit(hex_digest_length(MAX_SITE_COUNT, max(VALID_VALUE_BITS)))
+    try:
+        with infile:
+            reader = csv.reader(infile)
+            fields = next(reader, None)
+            if fields is None:
+                return _fail_usage(f"{args.input} has no header row")
+            missing = [c for c in REQUIRED_INPUT_COLUMNS if c not in fields]
+            if missing:
+                return _fail_usage(f"{args.input} is missing columns: {', '.join(missing)}")
+            rows = [cells for cells in reader if cells]
+    except csv.Error as exc:
+        return _fail_usage(f"{args.input} line {reader.line_num}: {exc}")
+    finally:
+        csv.field_size_limit(field_limit)
 
     width = len(fields)
     # a name's last cell wins, and the record's own columns override the

@@ -111,6 +111,13 @@ def write_vectors_csv(fileobj, vectors) -> None:
 def read_vectors_csv(fileobj) -> list[TestVector]:
     reader = csv.reader(fileobj)
     try:
+        return _read_vectors(reader)
+    except csv.Error as exc:
+        raise VectorFormatError(f"line {reader.line_num}: {exc}") from None
+
+
+def _read_vectors(reader) -> list[TestVector]:
+    try:
         header = next(reader)
     except StopIteration:
         raise VectorFormatError("empty vector file") from None

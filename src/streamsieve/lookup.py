@@ -8,30 +8,27 @@ only the at most 2S arrivals that can still be retained (those whose hanoi
 value reaches one below the current epoch), which is O(S * log T) and
 practical at any depth up to 2**64 - 1, where replay is not.
 
-``explode_records`` turns dumped (algo, S, T, width, hex) rows into one
-record per site, pairing each stored value with its reconstructed ingest
-time; it backs the CLI's explode subcommand.
+``explode_row`` turns one dumped (algo, S, T, width, hex) row into one
+(site, ingest time, value) triple per site; the CLI's explode subcommand
+calls it once per input row.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .algorithms import (
     MAX_STEADY_T,
     REPLAY_CAP,
     Algorithm,
+    Selector,
+    _refuse,
     _steady_site,
     _validate_algorithm_sites,
     _validate_time,
     epoch,
-    has_ingest_capacity,
     parse_algorithm,
     selection_stream,
-    stream_capacity,
     validate_site_count,
 )
-from .errors import CapacityError, ReplayLimitError
 from .surface import unpack_slots_hex, validate_value_bits
 
 
@@ -44,16 +41,9 @@ def lookup_replay(algo: Algorithm, S: int, T: int) -> list:
     """
     _validate_algorithm_sites(algo, S)
     _validate_time(T)
-    if T > REPLAY_CAP:
-        raise ReplayLimitError(
-            f"replay lookup is capped at T <= {REPLAY_CAP}, got T={T}"
-        )
-    if T > 0 and not has_ingest_capacity(algo, S, T - 1):
-        raise CapacityError(
-            f"{algo} with S={S} supports at most {stream_capacity(algo, S)} "
-            f"ingests, got T={T}"
-        )
+    _refuse(algo, S, T, None, REPLAY_CAP)
     entries: list = [None] * S
+    # selection_stream refuses T past capacity
     for Tp, selection in enumerate(selection_stream(algo, S, T)):
         for k in selection:
             entries[k] = Tp
@@ -101,20 +91,13 @@ def lookup_steady_fast(S: int, T: int) -> list:
 
 
 def last_write_times(algo: Algorithm, S: int, T: int) -> list:
-    """Lookup table via the cheapest sound route for the algorithm."""
+    """Lookup table via the cheapest sound route, up to the reload limit."""
+    selector = Selector(algo, S)
+    _validate_time(T)
+    _refuse(algo, S, T, selector.capacity, selector.reload_limit)
     if algo.kind == "steady":
-        _validate_algorithm_sites(algo, S)
         return lookup_steady_fast(S, T)
     return lookup_replay(algo, S, T)
-
-
-class StreamRecord(NamedTuple):
-    """One site of one exploded dump row."""
-
-    row: int
-    site: int
-    ingest_time: int | None
-    value: int | None
 
 
 def explode_row(algo, S: int, T: int, value_bits: int, text: str) -> list[tuple]:
@@ -134,24 +117,3 @@ def explode_row(algo, S: int, T: int, value_bits: int, text: str) -> list[tuple]
         (k, entries[k], slots[k] if entries[k] is not None else None)
         for k in range(S)
     ]
-
-
-def explode_records(rows) -> tuple[list[StreamRecord], list[tuple[int, str]]]:
-    """Explode a batch of (algo, S, T, value_bits, hex) rows.
-
-    Returns (records, rejects).  A failing row contributes one
-    (row ordinal, reason) reject and no records; it never aborts the batch.
-    """
-    records: list[StreamRecord] = []
-    rejects: list[tuple[int, str]] = []
-    for row, fields in enumerate(rows):
-        try:
-            algo, S, T, value_bits, text = fields
-            triples = explode_row(algo, S, T, value_bits, text)
-        except (ValueError, TypeError) as exc:
-            rejects.append((row, str(exc)))
-            continue
-        records.extend(
-            StreamRecord(row, site, tbar, value) for site, tbar, value in triples
-        )
-    return records, rejects

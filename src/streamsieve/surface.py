@@ -1,11 +1,11 @@
 """Fixed-size working buffer plus its hex interchange format.
 
-A Surface is the live object a producer holds: S slots of uniform width,
-an ingest counter T, and per-slot written flags.  Ingest never relocates
-stored values; each arrival is either written into the sites chosen by the
-configured algorithm or dropped.  Because site selection is pure in
-(algorithm, S, T), a dumped surface needs no per-item metadata: the hex
-blob plus T is enough for any consumer to recover every item's ingest time.
+A Surface is the live object a producer holds: S slots of uniform width
+and an ingest counter T.  Ingest never relocates stored values; each
+arrival is either written into the sites chosen by the configured algorithm
+or dropped.  Because site selection is pure in (algorithm, S, T), a dumped
+surface needs no per-item metadata: the hex blob plus T is enough for any
+consumer to recover every item's ingest time.
 
 Hex layout: site 0 occupies the most significant bits, each item value is
 big-endian inside its field, and the digest is lowercase with exactly
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import string
 
-from .algorithms import Algorithm, Selector, _validate_time, has_ingest_capacity
+from .algorithms import Algorithm, Selector, _refuse, _validate_time, has_ingest_capacity
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -74,7 +74,7 @@ class Surface:
     ``T`` the number of items ingested so far.
     """
 
-    __slots__ = ("algo", "S", "value_bits", "slots", "written", "_selector")
+    __slots__ = ("algo", "S", "value_bits", "slots", "_selector")
 
     def __init__(self, algo: Algorithm, S: int, value_bits: int):
         self._selector = Selector(algo, S)
@@ -83,11 +83,20 @@ class Surface:
         self.S = S
         self.value_bits = value_bits
         self.slots = [0] * S
-        self.written = [False] * S
 
     @property
     def T(self) -> int:
         return self._selector.T
+
+    @property
+    def written(self) -> list[bool]:
+        """Per-site written flags, derived from T.
+
+        Every profile fills site offset + T of each segment while T is below
+        the segment's size, so site k of a segment is written once T > k.
+        """
+        T = self.T
+        return [k < T for _, size, _ in self._selector._parts for k in range(size)]
 
     def ingest(self, value: int) -> frozenset[int]:
         """Store one arriving value; returns the selected sites.
@@ -117,7 +126,6 @@ class Surface:
         selection = selector.step()
         for k in selection:
             self.slots[k] = value
-            self.written[k] = True
         return frozenset(selection)
 
     def to_hex(self) -> str:
@@ -130,19 +138,21 @@ class Surface:
     ) -> "Surface":
         """Rebuild a surface from a dump.
 
-        Written flags are reconstructed from the lookup table: a site
-        counts as written exactly when some T' < T selected it.  The same
-        table positions the selector, so a greedy reload replays once.
+        T is held to the selector's reload limit.  A greedy segment's
+        curator is positioned from the lookup table, so a greedy reload
+        replays once; an all-steady layout needs no table.
         """
         _validate_time(T)
         surface = cls(algo, S, value_bits)
-        slots = unpack_slots_hex(text, S, value_bits)
-        from .lookup import last_write_times  # deferred: lookup imports this module
+        surface.slots = unpack_slots_hex(text, S, value_bits)
+        selector = surface._selector
+        _refuse(algo, S, T, selector.capacity, selector.reload_limit)
+        writers = None
+        if selector.capacity is not None:  # only greedy segments are bounded
+            from .lookup import last_write_times  # deferred: lookup imports this module
 
-        entries = last_write_times(algo, S, T)
-        surface._selector.resume(T, entries)
-        surface.slots = slots
-        surface.written = [entry is not None for entry in entries]
+            writers = last_write_times(algo, S, T)
+        selector.resume(T, writers)
         return surface
 
     def __repr__(self) -> str:

@@ -227,6 +227,42 @@ def test_pointwise_greedy_replay_is_capped():
         site_selection(hybrid(("steady", 64), ("tilted", 64)), 128, 2**40)
 
 
+@pytest.mark.parametrize(
+    "algo, S, T, error",
+    [
+        (TILTED, 8, 2**40, ReplayLimitError),
+        (hybrid(("stretched", 4), ("steady", 4)), 8, 2**40, ReplayLimitError),
+        (STRETCHED, 4, 14, CapacityError),
+        (TILTED, 64, 2**40, ReplayLimitError),
+    ],
+    ids=["tilted8-deep", "stretched4+steady4-deep", "stretched4-past-capacity", "tilted64-deep"],
+)
+def test_every_entry_point_refuses_with_one_class(algo, S, T, error):
+    """Arrival T, or the T + 1 arrivals up to it, is refused alike everywhere.
+
+    Past both bounds ReplayLimitError wins, on every path.
+    """
+    from streamsieve import Surface, explode_row, last_write_times, lookup_replay, run_benchmark
+
+    calls = [lambda: site_selection(algo, S, T)]
+    if algo.is_hybrid:
+        calls.append(lambda: hybrid_assign(algo, S, T))
+    else:
+        assign = tilted_assign if algo.kind == "tilted" else stretched_assign
+        calls.append(lambda: assign(S, T))
+    calls += [
+        lambda: lookup_replay(algo, S, T + 1),
+        lambda: last_write_times(algo, S, T + 1),
+        lambda: explode_row(algo, S, T + 1, 8, "00" * S),
+        lambda: Surface.from_hex(algo, S, T + 1, 8, "00" * S),
+        lambda: run_benchmark(algo, [S], [(0, T + 1)], 1),
+    ]
+    for call in calls:
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+
+
 # ---------------------------------------------------------------------------
 # hybrid
 

@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from streamsieve import REPLAY_CAP
 from streamsieve.benchmark import BENCH_FIELDS
 from streamsieve.cli import main
 
@@ -77,8 +78,35 @@ class TestExplode:
         out = tmp_path / "long.csv"
         write_csv(src, DUMP_HEADER, [])
         assert main(["explode", str(src), str(out), "--value-bits", "8"]) == 0
-        header = open(out).read().rstrip("\n").split(",")
+        header = out.read_text().rstrip("\n").split(",")
         assert header == ["dstream_row", *DUMP_HEADER, "dstream_site", "dstream_Tbar", "dstream_value"]
+
+    def test_cells_past_the_default_csv_field_limit(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        src = tmp_path / "dumps.csv"
+        out = tmp_path / "long.csv"
+        # longer than csv's default limit but not the longest legal dump:
+        # a wrong-length digest, so a per-row reject and the batch goes on
+        write_csv(
+            src,
+            DUMP_HEADER,
+            [["steady", 4, 4, "0" * 200_000, "long"], ["steady", 4, 8, "05010703", "good"]],
+        )
+        assert main(["explode", str(src), str(out), "--value-bits", "8"]) == 1
+        assert "1 of 2 rows rejected" in capsys.readouterr().err
+        with open(out, newline="") as fileobj:
+            assert {r["label"] for r in csv.DictReader(fileobj)} == {"good"}
+        # the reject message repeats the cell, so it is read as text
+        rejects = (tmp_path / "long.csv.rejects").read_text().splitlines()
+        assert len(rejects) == 2
+        assert rejects[1].startswith('0,"expected 8 hex digits for S=4 width=8')
+        assert csv.field_size_limit() == limit
+        # a cell longer than any dump (2**20 sites at 64 bits) is a usage error
+        too_long = "0" * ((1 << 24) + 1)
+        write_csv(src, DUMP_HEADER, [["steady", 4, 8, "05010703", "good"], ["steady", 4, 8, too_long, "x"]])
+        assert main(["explode", str(src), str(out), "--value-bits", "8"]) == 2
+        assert "line 3" in capsys.readouterr().err
+        assert csv.field_size_limit() == limit
 
     def test_missing_column_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "dumps.csv"
@@ -227,6 +255,13 @@ class TestValidate:
         assert main(["validate", "--check", str(path)]) == 2
         assert "header" in capsys.readouterr().err
 
+    def test_oversized_cell_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "vectors.csv"
+        sites = ";".join(["1"] * 70_000)
+        path.write_text(f"algo,S,T,expected_sites\nsteady,4,0,0\nsteady,4,1,{sites}\n")
+        assert main(["validate", "--check", str(path)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_generate_and_check_are_exclusive(self, tmp_path):
         assert main(["validate"]) == 2
         assert (
@@ -309,7 +344,10 @@ class TestLookup:
     def test_replay_cap_failure(self, capsys):
         code = main(["lookup", "--algo", "tilted", "--S", "8", "--T", str(1 << 40)])
         assert code == 1
-        assert "replay lookup is capped" in capsys.readouterr().err
+        assert (
+            f"tilted with S=8 is capped at {REPLAY_CAP} arrivals, asked for {1 << 40}"
+            in capsys.readouterr().err
+        )
 
     def test_capacity_failure(self, capsys):
         code = main(["lookup", "--algo", "stretched", "--S", "4", "--T", "100"])

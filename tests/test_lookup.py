@@ -12,8 +12,6 @@ from streamsieve import (
     TILTED,
     CapacityError,
     ReplayLimitError,
-    StreamRecord,
-    explode_records,
     explode_row,
     hybrid,
     last_write_times,
@@ -145,28 +143,3 @@ def test_explode_row_unwritten_sites_are_empty():
     # hex padding on never-written sites must not surface as values
     triples = explode_row("steady", 4, 2, 8, "0a0b0000")
     assert triples == [(0, 0, 10), (1, 1, 11), (2, None, None), (3, None, None)]
-
-
-def test_explode_records_batch_and_rejects():
-    rows = [
-        ("steady", 4, 8, 8, "05010703"),
-        ("steady", 4, 8, 8, "ZZ010703"),  # bad hex
-        ("tilted", 8, 2**40, 8, "00" * 8),  # over the replay cap
-        ("tilted", 4, 3, 8, "0a0b0c00"),
-    ]
-    records, rejects = explode_records(rows)
-    assert [r for r in records if r.row == 0] == [
-        StreamRecord(0, 0, 5, 5),
-        StreamRecord(0, 1, 1, 1),
-        StreamRecord(0, 2, 7, 7),
-        StreamRecord(0, 3, 3, 3),
-    ]
-    assert {row for row, _ in rejects} == {1, 2}
-    last = [r for r in records if r.row == 3]
-    assert [r.site for r in last] == [0, 1, 2, 3]
-    assert [r.ingest_time for r in last] == [0, 1, 2, None]
-
-
-def test_explode_records_deterministic():
-    rows = [("steady", 8, 100, 16, "00ff" * 8), ("stretched", 4, 10, 16, "0102030405060708")]
-    assert explode_records(rows) == explode_records(rows)

@@ -21,6 +21,7 @@ from streamsieve import (
     hybrid,
     pack_slots_hex,
     site_selection,
+    stream_capacity,
     unpack_slots_hex,
 )
 
@@ -167,6 +168,29 @@ def test_dump_reload_continue_matches_straight_run():
             for T in range(at, count):
                 assert b.ingest(T % 256) == a.ingest(T % 256), (algo, at, T)
             assert (a.slots, a.written, a.T) == (b.slots, b.written, b.T), (algo, at)
+
+
+def test_written_flags_follow_the_lookup_table():
+    """Derived written flags equal "some T' < T wrote the site", reloaded too."""
+    from streamsieve import last_write_times
+
+    for algo, S in (
+        (STEADY, 8),
+        (STRETCHED, 8),
+        (TILTED, 8),
+        (hybrid(("steady", 4), ("tilted", 8), ("stretched", 4)), 16),
+    ):
+        count = min(300, stream_capacity(algo, S) or 300)
+        surface = Surface(algo, S, 8)
+        for T in range(count + 1):
+            expected = [e is not None for e in last_write_times(algo, S, T)]
+            assert surface.written == expected, (algo, T)
+            reloaded = Surface.from_hex(algo, S, T, 8, surface.to_hex())
+            assert reloaded.written == expected, (algo, T)
+            if T < count:
+                surface.ingest(T % 256)
+    with pytest.raises(AttributeError):
+        surface.written = [True] * S
 
 
 def test_sequential_paths_leave_replay_memo_empty():
