@@ -30,14 +30,18 @@ itself); the minimum wins.  Weights are depth+1 for stretched and age for
 tilted, so the arriving item's tilted weight is zero and tilted never
 discards.  Scores are compared by exact integer cross-multiplication, ties
 preferring discard and then the smallest candidate.  Both profiles are
-evaluated by replaying this rule from T=0.  The replay never scans all S
-items: an interior item's gap only changes when a neighbour is evicted, and
-among items sharing a gap the heaviest one (oldest for tilted, newest for
-stretched) always scores strictly lowest, so each step compares one
-candidate per distinct gap (see ``_GreedyCurator``).  Sequential callers
-step a ``Selector``, which validates (algo, S) once and owns its curators;
-only the pointwise ``site_selection``/``*_assign`` go through a lock-guarded
-per-(profile, S) replay memo.
+evaluated by stepping this rule forward from T=0 (``_GreedyCurator``), and
+a step never scans all S items: an interior item's gap only changes when a
+neighbour is evicted, and among items sharing a gap the heaviest one
+(oldest for tilted, newest for stretched) always scores strictly lowest, so
+a write compares one candidate per distinct gap.  Tilted writes every
+arrival.  Stretched writes rarely, and its state changes only in T between
+two writes, so the next write time is solved for after each write; a
+discard costs one compare, and a lookup jumps from write to write instead
+of stepping every arrival.  Sequential callers step a ``Selector``, which
+validates (algo, S) once and owns its curators; only the pointwise
+``site_selection``/``*_assign`` go through a lock-guarded per-(profile, S)
+replay memo.
 
 How far a layout goes is decided here.  Its capacity is 2**size - 2 for
 its smallest greedy segment, None when all are steady.  ``_refuse`` holds n
@@ -63,6 +67,8 @@ MAX_SITE_COUNT = 1 << 20
 
 # replay work is O(T); beyond this it stops being a sane thing to do inline
 REPLAY_CAP = 1 << 22
+# a stretched curator's next_write once no arrival can be written again
+_NEVER = float("inf")
 # the steady closed-form lookup takes T up to this
 MAX_STEADY_T = (1 << 64) - 1
 
@@ -341,9 +347,28 @@ class _GreedyCurator:
     A discard changes no bucket.  A step therefore costs one comparison per
     distinct gap (about 2 more per doubling of T/S) plus O(log S) bucket
     edits and one list deletion, not an O(S) scan.
+
+    Stretched discards cost one compare: ``next_write`` is the first
+    arrival that can be written (at most the current T for tilted and
+    during the fill, when every arrival is).  Why it is exact.  Between two writes only T changes:
+    the buckets, the newest time m and every interior score g / (b + 1)
+    stay fixed, while the discard score (T - m) / (T + 1) rises with T.
+    Bucket (g, b), b its newest member, beats the discard exactly when
+    g * (T + 1) < (T - m) * (b + 1), i.e. T * (b + 1 - g) > g + m * (b + 1).
+    If b + 1 <= g that never holds.  Otherwise it holds exactly from
+    T = floor((g + m * (b + 1)) / (b + 1 - g)) + 1 on; a tie, T equal to
+    the floor, goes to the discard.  The arrival is discarded while no
+    bucket beats it, so the next write is the least of these thresholds,
+    and _NEVER when no bucket has b + 1 > g (S=4 and S=8 get there).  At
+    T = m + 1 the inequality fails for every bucket, since b + 1 <= m <
+    g * (m + 2); so the threshold is recomputed after each write, from the
+    buckets as the write left them, and always lies past it.  The schedule
+    holds for any retained set, so ``resume`` computes it too.  A step at
+    or past ``next_write`` scans the buckets as above, and some bucket
+    beats the discard there.
     """
 
-    __slots__ = ("S", "tilted", "T", "times", "sites", "buckets")
+    __slots__ = ("S", "tilted", "T", "times", "sites", "buckets", "next_write")
 
     def __init__(self, S: int, tilted: bool):
         self.S = S
@@ -361,10 +386,36 @@ class _GreedyCurator:
             # ascending times, so every bucket comes out sorted
             buckets.setdefault(times[i + 1] - prev, []).append(times[i])
             prev = times[i]
+        if self.tilted or T < self.S:
+            self.next_write = min(T, self.S)  # every arrival from here writes
+        else:
+            self._schedule()
+
+    def _schedule(self) -> None:
+        # stretched after the fill: the first arrival that some interior
+        # item outscores, from the inequality in the class docstring
+        newest = self.times[-1]
+        first = _NEVER
+        for g, bucket in self.buckets.items():
+            w = bucket[-1] + 1
+            if w > g:
+                t = (g + newest * w) // (w - g) + 1
+                if t < first:
+                    first = t
+        self.next_write = first
+
+    def skip_to(self, T: int) -> None:
+        """Stretched only: advance to arrival T, stepping only the writes."""
+        while self.next_write < T:
+            self.T = self.next_write
+            self.step()
+        self.T = T
 
     def step(self) -> int | None:
         T = self.T
         self.T = T + 1
+        if T < self.next_write:
+            return None  # stretched, between two writes
         times = self.times
         sites = self.sites
         buckets = self.buckets
@@ -373,6 +424,10 @@ class _GreedyCurator:
                 _rebucket(buckets, times[-1], 0, T - (times[-2] if T > 1 else -1))
             times.append(T)
             sites.append(T)
+            if T + 1 < self.S or self.tilted:
+                self.next_write = T + 1
+            else:
+                self._schedule()
             return T
         last = len(times) - 1
         newest = times[last]
@@ -391,7 +446,8 @@ class _GreedyCurator:
                     best_n, best_d, best_b, best = g, d, b, bucket
         else:
             # the newest item's gap exceeds T - newest and its weight is
-            # below T + 1, so it always scores above the discard: never wins
+            # below T + 1, so it always scores above the discard: never wins.
+            # T >= next_write, so some bucket beats the discard.
             best_n, best_d, best_b, best = T - newest, T + 1, -1, None
             for g, bucket in buckets.items():
                 b = bucket[-1]
@@ -400,8 +456,6 @@ class _GreedyCurator:
                 y = best_n * d
                 if x <= y and (x < y or b < best_b):
                     best_n, best_d, best_b, best = g, d, b, bucket
-            if best_b < 0:
-                return None
         if best is None:
             # the newest goes; its left neighbour now reaches to T
             idx = last
@@ -430,6 +484,8 @@ class _GreedyCurator:
         del times[idx]
         times.append(T)
         sites.append(site)
+        if not self.tilted:
+            self._schedule()
         return site
 
 
@@ -530,9 +586,10 @@ class Selector:
     and advances T; callers check capacity up front.  ``capacity`` is the
     layout's supported ingest count (None if unbounded).  ``reload_limit``
     is the largest T at which a dump of this layout can be reloaded:
-    MAX_STEADY_T for the scalar steady rule, the only layout
-    ``last_write_times`` serves in closed form, and REPLAY_CAP for every
-    other layout, since those reload by replay.
+    MAX_STEADY_T for the scalar steady rule and REPLAY_CAP for every other
+    layout.  ``last_write_times`` replays only tilted segments, so the
+    limit of a layout without one is kept at REPLAY_CAP by choice, not by
+    its cost.
     """
 
     __slots__ = ("T", "capacity", "reload_limit", "_parts")

@@ -2,11 +2,17 @@
 
 Because site selection is pure in (algorithm, S, T), the contents of any
 surface can be indexed after the fact.  ``lookup_replay`` is the defining
-oracle: replay every selection and keep the last writer per site.  For the
-steady rule, ``lookup_steady_fast`` computes the same table by resolving
-only the at most 2S arrivals that can still be retained (those whose hanoi
-value reaches one below the current epoch), which is O(S * log T) and
-practical at any depth up to 2**64 - 1, where replay is not.
+oracle: replay every selection and keep the last writer per site.
+``last_write_times`` builds the same table one segment at a time (a
+scalar rule is one segment), each by its cheapest route:
+
+* steady -- ``lookup_steady_fast`` resolves only the at most 2S arrivals
+  that can still be retained (those whose hanoi value reaches one below
+  the current epoch), which is O(S * log T) and practical at any depth up
+  to 2**64 - 1, where replay is not;
+* stretched -- a curator jumps from write to write, skipping every
+  discard, so the cost follows the number of writes, not T;
+* tilted -- never discards, so it replays with ``lookup_replay``.
 
 ``explode_row`` turns one dumped (algo, S, T, width, hex) row into one
 (site, ingest time, value) triple per site; the CLI's explode subcommand
@@ -18,9 +24,12 @@ from __future__ import annotations
 from .algorithms import (
     MAX_STEADY_T,
     REPLAY_CAP,
+    TILTED,
     Algorithm,
     Selector,
+    _GreedyCurator,
     _refuse,
+    _segments,
     _steady_site,
     _validate_algorithm_sites,
     _validate_time,
@@ -91,13 +100,34 @@ def lookup_steady_fast(S: int, T: int) -> list:
 
 
 def last_write_times(algo: Algorithm, S: int, T: int) -> list:
-    """Lookup table via the cheapest sound route, up to the reload limit."""
+    """Lookup table after T ingests, up to the reload limit.
+
+    Segments curate independently, so each one's slice of the table comes
+    from one route, at the segment's own size: ``lookup_steady_fast`` for
+    steady, a skip from write to write for stretched, and ``lookup_replay``
+    for tilted.
+    """
     selector = Selector(algo, S)
     _validate_time(T)
     _refuse(algo, S, T, selector.capacity, selector.reload_limit)
-    if algo.kind == "steady":
-        return lookup_steady_fast(S, T)
-    return lookup_replay(algo, S, T)
+    entries: list = []
+    for kind, size, _ in _segments(algo, S):
+        if kind == "steady":
+            entries += lookup_steady_fast(size, T)
+        elif kind == "stretched":
+            entries += _stretched_writers(size, T)
+        else:
+            entries += lookup_replay(TILTED, size, T)
+    return entries
+
+
+def _stretched_writers(S: int, T: int) -> list:
+    curator = _GreedyCurator(S, False)
+    curator.skip_to(T)
+    entries: list = [None] * S
+    for tbar, k in zip(curator.times, curator.sites):
+        entries[k] = tbar
+    return entries
 
 
 def explode_row(algo, S: int, T: int, value_bits: int, text: str) -> list[tuple]:

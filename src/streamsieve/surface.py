@@ -52,19 +52,25 @@ def pack_slots_hex(slots, value_bits: int) -> str:
 
 
 def unpack_slots_hex(text: str, S: int, value_bits: int) -> list[int]:
-    """Inverse of pack_slots_hex; strict about length and charset."""
+    """Inverse of pack_slots_hex; strict about length and charset.
+
+    A HexFormatError names what was wrong, never the text itself, which
+    may be megabytes long.
+    """
     validate_value_bits(value_bits)
     digits = hex_digest_length(S, value_bits)
-    if not isinstance(text, str) or len(text) != digits:
-        raise HexFormatError(
-            f"expected {digits} hex digits for S={S} width={value_bits}, "
-            f"got {text!r}"
-        )
-    if not _HEX_DIGITS.issuperset(text):
-        raise HexFormatError(f"non-hex digit in {text!r}")
-    acc = int(text, 16)
-    mask = (1 << value_bits) - 1
-    return [(acc >> ((S - 1 - k) * value_bits)) & mask for k in range(S)]
+    if not isinstance(text, str):
+        got = type(text).__name__
+    elif len(text) != digits:
+        got = f"{len(text)} characters"
+    elif not _HEX_DIGITS.issuperset(text):
+        bad = next(i for i, c in enumerate(text) if c not in _HEX_DIGITS)
+        got = f"non-hex {text[bad]!r} at index {bad}"
+    else:
+        acc = int(text, 16)
+        mask = (1 << value_bits) - 1
+        return [(acc >> ((S - 1 - k) * value_bits)) & mask for k in range(S)]
+    raise HexFormatError(f"expected {digits} hex digits for S={S} width={value_bits}, got {got}")
 
 
 class Surface:
@@ -139,8 +145,9 @@ class Surface:
         """Rebuild a surface from a dump.
 
         T is held to the selector's reload limit.  A greedy segment's
-        curator is positioned from the lookup table, so a greedy reload
-        replays once; an all-steady layout needs no table.
+        curator is positioned from the lookup table, so a tilted segment
+        replays once and a stretched one jumps from write to write; an
+        all-steady layout needs no table.
         """
         _validate_time(T)
         surface = cls(algo, S, value_bits)

@@ -390,10 +390,12 @@ def _assert_steps_match(curator, scan, steps, label):
         T = scan.T
         assert curator.step() == scan.step(), (label, T)
     assert (curator.times, curator.sites) == (scan.times, scan.sites), label
-    # the buckets kept up step by step equal those rebuilt from scratch
+    # the buckets and the next write kept up step by step equal those
+    # rebuilt from scratch
     rebuilt = _GreedyCurator(curator.S, curator.tilted)
     rebuilt.resume(curator.T, list(curator.times), list(curator.sites))
     assert curator.buckets == rebuilt.buckets, label
+    assert curator.next_write == rebuilt.next_write, label
 
 
 @pytest.mark.parametrize("tilted", [False, True])
@@ -421,6 +423,68 @@ def test_gap_bucket_curator_matches_scan_at_depth(T):
             scan = ScanCurator(S, tilted)
             scan.T, scan.times, scan.sites = T, list(times), list(sites)
             _assert_steps_match(curator, scan, 500, (S, tilted, T))
+
+
+@pytest.mark.parametrize(
+    "S, count, never", [(4, 14, True), (8, 254, True), (16, 65534, False), (64, 6000, False)]
+)
+def test_stretched_next_write_matches_scan(S, count, never):
+    """Answering discards from the cached next write picks what the scan picks.
+
+    Step by step from T=0, and from a Selector resumed at seeded T from the
+    scan's last-writer table.  At S=4 and S=8 the discard wins for good
+    before capacity, so no next write is left.
+    """
+    from streamsieve.algorithms import _NEVER, Selector
+
+    curator, scan = _GreedyCurator(S, False), ScanCurator(S, False)
+    picks = []
+    for T in range(count):
+        pick = scan.step()
+        assert curator.step() == pick, (S, T)
+        # no discard is answered past the cached next write
+        assert pick is not None or T < curator.next_write, (S, T)
+        picks.append(pick)
+    rebuilt = _GreedyCurator(S, False)
+    rebuilt.resume(count, list(curator.times), list(curator.sites))
+    assert curator.next_write == rebuilt.next_write
+    assert (curator.next_write == _NEVER) == never
+    rng = random.Random(S)
+    writers = [None] * S
+    T = 0
+    for at in sorted(rng.sample(range(count), min(count, 30))):
+        for T in range(T, at):
+            if picks[T] is not None:
+                writers[picks[T]] = T
+        T = at
+        selector = Selector(STRETCHED, S)
+        selector.resume(at, list(writers))
+        stop = min(at + 300, count)
+        expected = [() if pick is None else (pick,) for pick in picks[at:stop]]
+        assert [selector.step() for _ in range(at, stop)] == expected, (S, at)
+
+
+@pytest.mark.parametrize("T2", [2**40, 2**63], ids=["2**40", "2**63"])
+@pytest.mark.parametrize("S", [64, 256])
+def test_stretched_skip_ahead_is_consistent_at_depth(S, T2):
+    """No oracle reaches this deep: jumping straight to T2 must equal
+    stopping at a seeded T1 < T2, resuming from that table and jumping on."""
+    straight = _GreedyCurator(S, False)
+    straight.skip_to(T2)
+    assert straight.T == T2
+    table = dict(zip(straight.sites, straight.times))
+    assert sorted(table) == list(range(S))
+    assert table[0] == 0  # stretched keeps the origin
+    assert len(set(straight.times)) == S and max(straight.times) < T2
+    rng = random.Random(S * T2)
+    for T1 in (rng.randrange(S, T2), T2 // 3, T2 - 1):
+        first = _GreedyCurator(S, False)
+        first.skip_to(T1)
+        resumed = _GreedyCurator(S, False)
+        resumed.resume(T1, list(first.times), list(first.sites))
+        assert resumed.next_write == first.next_write, T1
+        resumed.skip_to(T2)
+        assert (resumed.times, resumed.sites) == (straight.times, straight.sites), T1
 
 
 def test_selection_stream_checks_capacity_up_front():

@@ -17,6 +17,7 @@ from streamsieve import (
     last_write_times,
     lookup_replay,
     lookup_steady_fast,
+    selection_stream,
     site_selection,
 )
 from streamsieve.algorithms import MAX_STEADY_T
@@ -124,6 +125,53 @@ def test_fast_lookup_resolves_at_most_2S_arrivals(monkeypatch):
 def test_last_write_times_dispatch():
     assert last_write_times(STEADY, 4, 2**30) == lookup_steady_fast(4, 2**30)
     assert last_write_times(TILTED, 4, 10) == lookup_replay(TILTED, 4, 10)
+    # each steady segment in closed form, so this deep table needs no replay
+    both = hybrid(("steady", 4), ("steady", 4))
+    assert last_write_times(both, 8, REPLAY_CAP) == 2 * lookup_steady_fast(4, REPLAY_CAP)
+
+
+def _replayed_tables(algo, S, Ts):
+    """Yield (T, lookup_replay(algo, S, T)) for ascending Ts from one replay."""
+    entries = [None] * S
+    stream = selection_stream(algo, S, Ts[-1])
+    done = 0
+    for T in Ts:
+        for Tp, selection in zip(range(done, T), stream):
+            for k in selection:
+                entries[k] = Tp
+        done = T
+        yield T, entries
+
+
+_SEEDED = sorted(random.Random(1024).sample(range(1 << 16), 40))
+
+
+@pytest.mark.parametrize(
+    "algo, S, Ts",
+    [
+        (STRETCHED, 4, range(15)),
+        (STRETCHED, 8, range(255)),
+        (STRETCHED, 16, range(65535)),
+        (hybrid(("stretched", 4), ("steady", 8), ("tilted", 4)), 16, range(15)),
+        (hybrid(("steady", 4), ("steady", 4)), 8, range(4097)),
+        (STRETCHED, 64, range(0, 3001, 7)),
+        (STRETCHED, 256, range(0, 3001, 7)),
+        (hybrid(("steady", 32), ("tilted", 32)), 64, range(0, 3001, 7)),
+        (STRETCHED, 1024, _SEEDED),
+    ],
+    ids=[
+        "stretched4", "stretched8", "stretched16", "stretched4+steady8+tilted4",
+        "steady4+steady4", "stretched64", "stretched256", "steady32+tilted32",
+        "stretched1024-seeded",
+    ],
+)
+def test_last_write_times_matches_replay(algo, S, Ts):
+    """One route per segment gives the replayed table: exhaustively up to
+    capacity at S <= 16 (to 4096 for the unbounded all-steady hybrid), every
+    7th T at S = 64 and 256, seeded T < 2**16 at S = 1024."""
+    for T, replayed in _replayed_tables(algo, S, Ts):
+        assert last_write_times(algo, S, T) == replayed, (algo, S, T)
+    assert replayed == lookup_replay(algo, S, T)
 
 
 # ---------------------------------------------------------------------------

@@ -109,12 +109,18 @@ def test_hex_examples():
 def test_unpack_examples():
     assert unpack_slots_hex("05010703", 4, 8) == [5, 1, 7, 3]
     assert unpack_slots_hex("b0", 8, 1) == [1, 0, 1, 1, 0, 0, 0, 0]
-    with pytest.raises(HexFormatError):
-        unpack_slots_hex("0501", 4, 8)  # wrong length
-    with pytest.raises(HexFormatError):
-        unpack_slots_hex("ZZ010703", 4, 8)  # not hex
-    with pytest.raises(HexFormatError):
-        unpack_slots_hex("0x010703", 4, 8)  # int() niceties must not leak in
+    # each message says what was wrong without repeating the cell
+    expected = "expected 8 hex digits for S=4 width=8, got "
+    for text, got in (
+        ("0501", "4 characters"),  # wrong length
+        ("ZZ010703", "non-hex 'Z' at index 0"),
+        ("0x010703", "non-hex 'x' at index 1"),  # int() niceties must not leak in
+        (None, "NoneType"),
+        (b"05010703", "bytes"),
+    ):
+        with pytest.raises(HexFormatError) as info:
+            unpack_slots_hex(text, 4, 8)
+        assert str(info.value) == expected + got, text
 
 
 @given(
