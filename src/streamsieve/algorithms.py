@@ -37,11 +37,11 @@ neighbour is evicted, and among items sharing a gap the heaviest one
 a write compares one candidate per distinct gap.  Tilted writes every
 arrival.  Stretched writes rarely, and its state changes only in T between
 two writes, so the next write time is solved for after each write; a
-discard costs one compare, and a lookup jumps from write to write instead
-of stepping every arrival.  Sequential callers step a ``Selector``, which
-validates (algo, S) once and owns its curators; only the pointwise
-``site_selection``/``*_assign`` go through a lock-guarded per-(profile, S)
-replay memo.
+discard costs one compare, and a lookup or a reload jumps from write to
+write.  Sequential callers step a ``Selector``, which validates (algo, S)
+once and owns its curators; a reload seeks a fresh one to T.  Only the
+pointwise ``site_selection``/``*_assign`` go through a lock-guarded
+per-(profile, S) replay memo.
 
 How far a layout goes is decided here.  Its capacity is 2**size - 2 for
 its smallest greedy segment, None when all are steady.  ``_refuse`` holds n
@@ -60,7 +60,7 @@ from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from .errors import CapacityError, ConfigurationError, ReplayLimitError
+from .errors import CapacityError, ConfigurationError, DomainError, ReplayLimitError
 
 MIN_SITE_COUNT = 4
 MAX_SITE_COUNT = 1 << 20
@@ -91,7 +91,7 @@ def validate_site_count(S: int) -> None:
 
 def _validate_time(T: int) -> None:
     if not isinstance(T, int) or isinstance(T, bool) or T < 0:
-        raise ValueError(f"ingest counter must be a non-negative integer, got {T!r}")
+        raise DomainError(f"ingest counter must be a non-negative integer, got {T!r}")
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,8 @@ def parse_algorithm(text: str) -> Algorithm:
 
     Accepts ``steady``, ``stretched``, ``tilted``, or
     ``hybrid(kind:size+kind:size...)``.  The grammar is comma-free so the
-    tokens embed in CSV cells without quoting.
+    tokens embed in CSV cells without quoting.  A size is ASCII digits
+    only, since ports in other languages read the same tokens.
     """
     if not isinstance(text, str):
         raise ConfigurationError(f"algorithm token must be a string, got {text!r}")
@@ -191,9 +192,15 @@ def parse_algorithm(text: str) -> Algorithm:
         segments = []
         for part in inner.split("+"):
             kind, sep, size_text = part.partition(":")
-            if not sep or not size_text.isdigit():
+            size = None
+            if sep and size_text.isascii() and size_text.isdigit():
+                try:
+                    size = int(size_text)
+                except ValueError:  # past the interpreter's digit limit
+                    pass
+            if size is None:
                 raise ConfigurationError(f"bad hybrid segment {part!r} in {text!r}")
-            segments.append((kind, int(size_text)))
+            segments.append((kind, size))
         return Algorithm("hybrid", tuple(segments))
     raise ConfigurationError(f"unknown algorithm token {text!r}")
 
@@ -405,9 +412,13 @@ class _GreedyCurator:
         self.next_write = first
 
     def skip_to(self, T: int) -> None:
-        """Stretched only: advance to arrival T, stepping only the writes."""
-        while self.next_write < T:
-            self.T = self.next_write
+        """Advance to arrival T, jumping from write to write while stretched
+        discards; tilted, and every profile in the fill, steps each arrival."""
+        while self.T < T:
+            if self.T < self.next_write:  # stretched, between two writes
+                if self.next_write >= T:
+                    break
+                self.T = self.next_write
             self.step()
         self.T = T
 
@@ -587,9 +598,9 @@ class Selector:
     layout's supported ingest count (None if unbounded).  ``reload_limit``
     is the largest T at which a dump of this layout can be reloaded:
     MAX_STEADY_T for the scalar steady rule and REPLAY_CAP for every other
-    layout.  ``last_write_times`` replays only tilted segments, so the
-    limit of a layout without one is kept at REPLAY_CAP by choice, not by
-    its cost.
+    layout.  A reload (``seek``) and ``last_write_times`` replay only
+    tilted segments, so the limit of a layout without one is kept at
+    REPLAY_CAP by choice, not by its cost.
     """
 
     __slots__ = ("T", "capacity", "reload_limit", "_parts")
@@ -614,22 +625,13 @@ class Selector:
                 picked.append(offset + site)
         return tuple(picked)
 
-    def resume(self, T: int, writers) -> None:
-        """Position at arrival T from the last-writer table after T ingests.
-
-        A curator retains exactly its segment's last writers, so each one is
-        rebuilt from its slice of ``writers`` without a replay (an
-        all-steady layout passes None).
-        """
+    def seek(self, T: int) -> None:
+        """Advance a fresh selector to arrival T: steady parts need nothing,
+        and each curator skips ahead.  Callers refuse T past the reload limit."""
         self.T = T
-        for offset, size, curator in self._parts:
-            if curator is None:
-                continue
-            written = sorted(
-                (tbar, k) for k, tbar in enumerate(writers[offset : offset + size])
-                if tbar is not None
-            )
-            curator.resume(T, [tbar for tbar, _ in written], [k for _, k in written])
+        for _, _, curator in self._parts:
+            if curator is not None:
+                curator.skip_to(T)
 
 
 def selection_stream(algo: Algorithm, S: int, count: int):
@@ -640,7 +642,7 @@ def selection_stream(algo: Algorithm, S: int, count: int):
     """
     selector = Selector(algo, S)
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise ValueError(f"count must be a non-negative integer, got {count!r}")
+        raise DomainError(f"count must be a non-negative integer, got {count!r}")
     _refuse(algo, S, count, selector.capacity, None)
     step = selector.step
     return (step() for _ in range(count))

@@ -19,7 +19,8 @@ class CapacityError(StreamSieveError):
 
 
 class DomainError(StreamSieveError):
-    """A value does not fit the surface's configured item width."""
+    """A value outside its domain: an item too wide for the item width, or a
+    negative, non-integer or out-of-range ingest counter or count."""
 
 
 class HexFormatError(StreamSieveError):

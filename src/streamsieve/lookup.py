@@ -38,6 +38,7 @@ from .algorithms import (
     selection_stream,
     validate_site_count,
 )
+from .errors import DomainError
 from .surface import unpack_slots_hex, validate_value_bits
 
 
@@ -86,7 +87,7 @@ def lookup_steady_fast(S: int, T: int) -> list:
     """
     validate_site_count(S)
     if not isinstance(T, int) or isinstance(T, bool) or T < 0 or T > MAX_STEADY_T:
-        raise ValueError(
+        raise DomainError(
             f"ingest counter must be an integer in [0, 2**64 - 1], got {T!r}"
         )
     entries: list = [None] * S

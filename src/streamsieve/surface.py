@@ -31,7 +31,8 @@ _HEX_DIGITS = frozenset(string.hexdigits)
 
 
 def validate_value_bits(value_bits: int) -> None:
-    if value_bits not in VALID_VALUE_BITS:
+    # 8.0 and True compare equal to legal widths, but are not widths
+    if type(value_bits) is not int or value_bits not in VALID_VALUE_BITS:
         raise ConfigurationError(
             f"item width must be one of {VALID_VALUE_BITS}, got {value_bits!r}"
         )
@@ -144,22 +145,16 @@ class Surface:
     ) -> "Surface":
         """Rebuild a surface from a dump.
 
-        T is held to the selector's reload limit.  A greedy segment's
-        curator is positioned from the lookup table, so a tilted segment
-        replays once and a stretched one jumps from write to write; an
-        all-steady layout needs no table.
+        T is held to the selector's reload limit, and then a fresh selector
+        advances to T: steady segments cost nothing, a stretched curator
+        jumps from write to write and a tilted one replays.
         """
         _validate_time(T)
         surface = cls(algo, S, value_bits)
         surface.slots = unpack_slots_hex(text, S, value_bits)
         selector = surface._selector
         _refuse(algo, S, T, selector.capacity, selector.reload_limit)
-        writers = None
-        if selector.capacity is not None:  # only greedy segments are bounded
-            from .lookup import last_write_times  # deferred: lookup imports this module
-
-            writers = last_write_times(algo, S, T)
-        selector.resume(T, writers)
+        selector.seek(T)
         return surface
 
     def __repr__(self) -> str:

@@ -310,6 +310,11 @@ def test_algorithm_tokens_round_trip():
     for bad in ("", "steadyy", "hybrid()", "hybrid(steady:4)", "hybrid(steady-4+x)"):
         with pytest.raises(ConfigurationError):
             parse_algorithm(bad)
+    # a size is ASCII digits: isdigit() alone passes a superscript two, int()
+    # reads other scripts' digits and refuses 5 000 with a bare ValueError
+    for size in ("\u00b2", "\u0664", "\uff14", "4" * 5000):
+        with pytest.raises(ConfigurationError):
+            parse_algorithm(f"hybrid(steady:{size}+tilted:4)")
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +367,11 @@ def test_selection_stream_agrees_with_pointwise():
 
 
 def test_selector_resume_matches_straight_run():
-    """Resuming from the last-writer table continues exactly like a replay."""
-    from streamsieve import lookup_replay
+    """A fresh selector that seeks to T continues exactly like a straight run."""
     from streamsieve.algorithms import Selector
 
     cases = (
-        # (algo, S, stream length, resume every `stride` arrivals)
+        # (algo, S, stream length, seek to every `stride`-th arrival)
         (STRETCHED, 8, 120, 1),
         (TILTED, 8, 120, 1),
         (hybrid(("stretched", 4), ("steady", 8), ("tilted", 4)), 16, 14, 1),
@@ -379,7 +383,7 @@ def test_selector_resume_matches_straight_run():
         straight = list(selection_stream(algo, S, count))
         for at in range(0, count, stride):
             selector = Selector(algo, S)
-            selector.resume(at, lookup_replay(algo, S, at))
+            selector.seek(at)
             stop = min(at + 8, count)
             assert [selector.step() for _ in range(at, stop)] == straight[at:stop], (algo, at)
             assert selector.T == stop
@@ -396,6 +400,27 @@ def _assert_steps_match(curator, scan, steps, label):
     rebuilt.resume(curator.T, list(curator.times), list(curator.sites))
     assert curator.buckets == rebuilt.buckets, label
     assert curator.next_write == rebuilt.next_write, label
+
+
+@pytest.mark.parametrize("S, stop", [(4, 14), (8, 254), (64, 3000)])
+def test_tilted_skip_to_matches_stepping(S, stop):
+    """Tilted writes every arrival, so skipping to T steps each one: a fresh
+    curator that skips to T, and one that skips on from checkpoint to
+    checkpoint, end in the state of one stepped T times."""
+    rng = random.Random(S)
+    checkpoints = set(range(min(S + 3, stop + 1))) | {stop}
+    checkpoints |= {rng.randrange(S, stop) for _ in range(20)}
+    stepped, chained = _GreedyCurator(S, True), _GreedyCurator(S, True)
+    for T in sorted(checkpoints):
+        while stepped.T < T:
+            stepped.step()
+        state = (stepped.times, stepped.sites, stepped.buckets, stepped.next_write)
+        fresh = _GreedyCurator(S, True)
+        fresh.skip_to(T)
+        chained.skip_to(T)
+        for curator in (fresh, chained):
+            assert curator.T == T
+            assert (curator.times, curator.sites, curator.buckets, curator.next_write) == state, T
 
 
 @pytest.mark.parametrize("tilted", [False, True])
@@ -431,9 +456,10 @@ def test_gap_bucket_curator_matches_scan_at_depth(T):
 def test_stretched_next_write_matches_scan(S, count, never):
     """Answering discards from the cached next write picks what the scan picks.
 
-    Step by step from T=0, and from a Selector resumed at seeded T from the
-    scan's last-writer table.  At S=4 and S=8 the discard wins for good
-    before capacity, so no next write is left.
+    Step by step from T=0; then at seeded T, from a curator resumed from
+    the scan's last-writer table and from a fresh Selector that seeks to T.
+    At S=4 and S=8 the discard wins for good before capacity, so no next
+    write is left.
     """
     from streamsieve.algorithms import _NEVER, Selector
 
@@ -457,9 +483,16 @@ def test_stretched_next_write_matches_scan(S, count, never):
             if picks[T] is not None:
                 writers[picks[T]] = T
         T = at
-        selector = Selector(STRETCHED, S)
-        selector.resume(at, list(writers))
         stop = min(at + 300, count)
+        written = sorted((tbar, k) for k, tbar in enumerate(writers) if tbar is not None)
+        resumed = _GreedyCurator(S, False)
+        resumed.resume(at, [tbar for tbar, _ in written], [k for _, k in written])
+        for Tp in range(at, stop):
+            pick = resumed.step()
+            assert pick == picks[Tp], (S, at, Tp)
+            assert pick is not None or Tp < resumed.next_write, (S, at, Tp)
+        selector = Selector(STRETCHED, S)
+        selector.seek(at)
         expected = [() if pick is None else (pick,) for pick in picks[at:stop]]
         assert [selector.step() for _ in range(at, stop)] == expected, (S, at)
 

@@ -241,6 +241,24 @@ class TestValidate:
         assert "1 mismatches" in err
         assert "T=5" in err
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "steady,4,-1,0",
+            "hybrid(steady:\u00b2+tilted:4),8,0,0",
+            f"hybrid(steady:{'4' * 5000}+tilted:4),8,0,0",
+        ],
+        ids=["negative-T", "superscript-size", "5000-digit-size"],
+    )
+    def test_check_reports_a_bad_row_as_a_mismatch(self, tmp_path, capsys, row):
+        path = tmp_path / "vectors.csv"
+        path.write_text(f"algo,S,T,expected_sites\n{row}\n", encoding="utf-8")
+        assert main(["validate", "--check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("vector 0 ") == 1
+        assert "checked 1 vectors: 1 mismatches" in err
+
     def test_default_algos_generate_and_pass(self, tmp_path):
         path = tmp_path / "vectors.csv"
         assert main(["validate", "--generate", str(path), "--max-T", "32"]) == 0

@@ -16,7 +16,9 @@ from streamsieve import (
     DomainError,
     HexFormatError,
     ReplayLimitError,
+    StreamSieveError,
     Surface,
+    explode_row,
     has_ingest_capacity,
     hybrid,
     pack_slots_hex,
@@ -66,6 +68,20 @@ def test_value_domain_checks():
     b.ingest(1)
     with pytest.raises(DomainError):
         b.ingest(2)
+
+
+@pytest.mark.parametrize("value_bits", [8.0, True], ids=["float", "bool"])
+def test_widths_must_be_int(value_bits):
+    """8.0 and True compare equal to legal widths; every entry point refuses them."""
+    calls = (
+        lambda: Surface(STEADY, 4, value_bits),
+        lambda: explode_row("steady", 4, 8, value_bits, "00000000"),
+        lambda: pack_slots_hex([0] * 8, value_bits),
+        lambda: unpack_slots_hex("00000000", 8, value_bits),
+    )
+    for call in calls:
+        with pytest.raises(ConfigurationError, match="item width"):
+            call()
 
 
 def test_capacity_error_leaves_state_alone():
@@ -153,6 +169,35 @@ def test_from_hex_accepts_huge_steady_T():
     assert all(r.written)
 
 
+def test_from_hex_refuses_a_negative_T_with_a_library_error():
+    with pytest.raises(StreamSieveError):
+        Surface.from_hex(TILTED, 8, -1, 8, "00" * 8)
+
+
+def test_reload_needs_no_lookup_table(monkeypatch):
+    """A reload advances a fresh selector to T; it builds no lookup table."""
+    from streamsieve import lookup
+
+    def refuse(*args):
+        raise AssertionError("a reload must not build a lookup table")
+
+    monkeypatch.setattr(lookup, "last_write_times", refuse)
+    monkeypatch.setattr(lookup, "lookup_steady_fast", refuse)
+    for algo, S, at, count in (
+        (STEADY, 8, 100, 140),
+        (STRETCHED, 8, 100, 140),
+        (TILTED, 8, 100, 140),
+        (hybrid(("stretched", 4), ("steady", 8), ("tilted", 4)), 16, 9, 14),
+    ):
+        a = Surface(algo, S, 8)
+        for T in range(at):
+            a.ingest(T % 256)
+        b = Surface.from_hex(algo, S, at, 8, a.to_hex())
+        for T in range(at, count):
+            assert b.ingest(T % 256) == a.ingest(T % 256), (algo, T)
+        assert (b.slots, b.T) == (a.slots, a.T), algo
+
+
 def test_dump_reload_continue_matches_straight_run():
     """dump -> from_hex -> keep ingesting == never dumping at all."""
     cases = [
@@ -216,8 +261,8 @@ def test_sequential_paths_leave_replay_memo_empty():
 def test_ingest_stops_at_the_reload_limit():
     """No ingest takes a surface past the T at which its dump reloads.
 
-    Each surface is positioned one arrival below its limit from a synthetic
-    last-writer table, so no multi-million-step replay runs.
+    Each greedy part is positioned one arrival below the limit from a
+    synthetic last-writer table, so no multi-million-step replay runs.
     """
     from streamsieve.lookup import MAX_STEADY_T
 
@@ -232,9 +277,14 @@ def test_ingest_stops_at_the_reload_limit():
     )
     for algo, S, limit in cases:
         surface = Surface(algo, S, 8)
+        selector = surface._selector
+        selector.T = limit - 1
         # distinct writers just below the resume point, in scrambled sites
         writers = [limit - 1 - 3 * ((5 * k) % S) for k in range(S)]
-        surface._selector.resume(limit - 1, writers)
+        for offset, size, curator in selector._parts:
+            if curator is not None:
+                written = sorted((writers[offset + k], k) for k in range(size))
+                curator.resume(limit - 1, [t for t, _ in written], [k for _, k in written])
         surface.ingest(1)
         assert surface.T == limit
         before = (list(surface.slots), list(surface.written))
