@@ -49,6 +49,7 @@ from .errors import (
     VectorFormatError,
 )
 from .lookup import (
+    TableCache,
     explode_row,
     last_write_times,
     lookup_replay,
@@ -89,6 +90,7 @@ __all__ = [
     "StreamSieveError",
     "Surface",
     "TILTED",
+    "TableCache",
     "TestVector",
     "VALID_VALUE_BITS",
     "VectorFormatError",

@@ -94,6 +94,19 @@ def _validate_time(T: int) -> None:
         raise DomainError(f"ingest counter must be a non-negative integer, got {T!r}")
 
 
+# characters of a rejected value's repr that an error message repeats
+_ECHO_LIMIT = 32
+
+
+def _clip(value) -> str:
+    # repr of a rejected value; a bad token may be megabytes long, so a
+    # long one is cut to its start and its length
+    text = repr(value)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
+
+
 @dataclass(frozen=True)
 class Algorithm:
     """Identifier for a site-selection rule.
@@ -120,7 +133,7 @@ class Algorithm:
                 sub_kind, sub_size = seg
                 if sub_kind not in SCALAR_KINDS:
                     raise ConfigurationError(
-                        f"hybrid segments must be scalar profiles, got {sub_kind!r}"
+                        f"hybrid segments must be scalar profiles, got {_clip(sub_kind)}"
                     )
                 validate_site_count(sub_size)
             # the enclosing surface's S is the segment sum, and S itself
@@ -132,7 +145,7 @@ class Algorithm:
                     f"a power of two <= 2**20"
                 )
         else:
-            raise ConfigurationError(f"unknown algorithm kind {self.kind!r}")
+            raise ConfigurationError(f"unknown algorithm kind {_clip(self.kind)}")
 
     @property
     def is_hybrid(self) -> bool:
@@ -199,10 +212,10 @@ def parse_algorithm(text: str) -> Algorithm:
                 except ValueError:  # past the interpreter's digit limit
                     pass
             if size is None:
-                raise ConfigurationError(f"bad hybrid segment {part!r} in {text!r}")
+                raise ConfigurationError(f"bad hybrid segment {_clip(part)} in {_clip(text)}")
             segments.append((kind, size))
         return Algorithm("hybrid", tuple(segments))
-    raise ConfigurationError(f"unknown algorithm token {text!r}")
+    raise ConfigurationError(f"unknown algorithm token {_clip(text)}")
 
 
 def _validate_algorithm_sites(algo: Algorithm, S: int) -> None:
@@ -626,8 +639,12 @@ class Selector:
         return tuple(picked)
 
     def seek(self, T: int) -> None:
-        """Advance a fresh selector to arrival T: steady parts need nothing,
-        and each curator skips ahead.  Callers refuse T past the reload limit."""
+        """Advance to arrival T: steady parts need nothing, and each curator
+        skips ahead from where it is.  Seeks chain, so one selector reaches
+        ascending Ts for the cost of the deepest; T below the current T
+        raises DomainError.  Callers refuse T past the reload limit."""
+        if T < self.T:
+            raise DomainError(f"a selector at T={self.T} cannot seek back to T={T}")
         self.T = T
         for _, _, curator in self._parts:
             if curator is not None:

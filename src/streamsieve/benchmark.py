@@ -22,6 +22,7 @@ from .algorithms import (
     steady_assign,
     stream_capacity,
 )
+from .errors import ConfigurationError, DomainError
 
 
 class BenchResult(NamedTuple):
@@ -39,12 +40,15 @@ BENCH_FIELDS = ("algo", "S", "T_lo", "T_hi", "items", "total_ns", "ns_per_item",
 
 
 def _validate_window(algo: Algorithm, S: int, capacity: int | None, window) -> tuple[int, int]:
-    t_lo, t_hi = window
+    try:
+        t_lo, t_hi = window
+    except (TypeError, ValueError):  # not a pair
+        t_lo = t_hi = None
     if not (isinstance(t_lo, int) and isinstance(t_hi, int)) or t_lo < 0 or t_hi <= t_lo:
-        raise ValueError(f"bad depth window {window!r}")
+        raise DomainError(f"bad depth window {window!r}")
     if algo.kind != "steady":
         if t_lo != 0:
-            raise ValueError(
+            raise DomainError(
                 f"{algo} is replay-defined; depth windows must start at 0, got {window!r}"
             )
         _refuse(algo, S, t_hi, capacity, REPLAY_CAP)
@@ -74,11 +78,11 @@ def run_benchmark(algo: Algorithm, sizes, windows, replicates: int) -> list[Benc
     Returns one row per (S, window, replicate), in that nesting order.
     """
     if not isinstance(replicates, int) or replicates < 1:
-        raise ValueError(f"replicates must be a positive integer, got {replicates!r}")
+        raise DomainError(f"replicates must be a positive integer, got {replicates!r}")
     if not sizes:
-        raise ValueError("need at least one size")
+        raise ConfigurationError("need at least one size")
     if not windows:
-        raise ValueError("need at least one depth window")
+        raise DomainError("need at least one depth window")
     plans = []
     for S in sizes:
         capacity = stream_capacity(algo, S)  # validates (algo, S)

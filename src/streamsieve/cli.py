@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import suppress
 from operator import itemgetter
 
 from .algorithms import MAX_SITE_COUNT, parse_algorithm
@@ -28,7 +29,7 @@ from .conformance import (
     write_vectors_csv,
 )
 from .errors import StreamSieveError, VectorFormatError
-from .lookup import explode_row, last_write_times
+from .lookup import TableCache, explode_row, last_write_times
 from .surface import VALID_VALUE_BITS, hex_digest_length
 
 REQUIRED_INPUT_COLUMNS = ("dstream_algo", "dstream_S", "dstream_T", "dstream_storage_hex")
@@ -72,6 +73,17 @@ def _cmd_explode(args) -> int:
     column.update({name: width + i for i, name in enumerate(("dstream_row", *RECORD_COLUMNS))})
     out_fields = ["dstream_row", *fields, *RECORD_COLUMNS]
     pick = itemgetter(*(column[name] for name in out_fields))
+    # note every row before exploding any, so that each layout with a
+    # greedy segment is passed over once; the loop below reports bad rows
+    tables = TableCache()
+    for cells in rows:
+        # a short row's missing cells read as None and write as empty
+        cells += [None] * (width - len(cells))
+        if len(cells) == width:
+            with suppress(ValueError, TypeError):
+                tables.note(
+                    cells[algo_at], int(cells[s_at]), int(cells[t_at]), args.value_bits, cells[hex_at]
+                )
     rejects: list[tuple[int, str]] = []
     with open(args.output, "w", newline="") as outfile:
         writer = csv.writer(outfile, lineterminator="\n")
@@ -80,8 +92,6 @@ def _cmd_explode(args) -> int:
             if len(cells) > width:
                 rejects.append((ordinal, f"row has {len(cells)} cells but the header has {width}"))
                 continue
-            # a short row's missing cells read as None and write as empty
-            cells += [None] * (width - len(cells))
             try:
                 triples = explode_row(
                     cells[algo_at],
@@ -89,6 +99,7 @@ def _cmd_explode(args) -> int:
                     int(cells[t_at]),
                     args.value_bits,
                     cells[hex_at],
+                    tables,
                 )
             except (ValueError, TypeError) as exc:
                 rejects.append((ordinal, str(exc)))

@@ -87,6 +87,11 @@ def check_vectors(vectors) -> list[str]:
     for idx, vec in enumerate(vectors):
         try:
             algo = parse_algorithm(vec.algo)
+        except StreamSieveError as exc:
+            # the message names the token, cut short; do not repeat it whole
+            mismatches.append(f"vector {idx} (S={vec.S} T={vec.T}): {exc}")
+            continue
+        try:
             got = tuple(sorted(site_selection(algo, vec.S, vec.T)))
         except StreamSieveError as exc:
             mismatches.append(f"vector {idx} ({vec.algo} S={vec.S} T={vec.T}): {exc}")

@@ -2,7 +2,9 @@
 
 Because site selection is pure in (algorithm, S, T), the contents of any
 surface can be indexed after the fact.  ``lookup_replay`` is the defining
-oracle: replay every selection and keep the last writer per site.
+oracle: replay every selection and keep the last writer per site.  The
+tests hold every faster route to it.
+
 ``last_write_times`` builds the same table one segment at a time (a
 scalar rule is one segment), each by its cheapest route:
 
@@ -14,12 +16,19 @@ scalar rule is one segment), each by its cheapest route:
   discard, so the cost follows the number of writes, not T;
 * tilted -- never discards, so it replays with ``lookup_replay``.
 
-``explode_row`` turns one dumped (algo, S, T, width, hex) row into one
-(site, ingest time, value) triple per site; the CLI's explode subcommand
-calls it once per input row.
+Both greedy routes run forward, so the tables of one layout at several
+Ts cost one pass to the deepest: a curator reads its retained set at each
+T on the way, and ``lookup_replay`` copies its table out at each T it is
+given.  ``explode_row`` turns one dumped (algo, S, T, width, hex) row
+into one (site, ingest time, value) triple per site.  The CLI's explode
+subcommand notes every row in a ``TableCache`` before it explodes any,
+so each layout is passed over once, however many rows it has.
 """
 
 from __future__ import annotations
+
+from array import array
+from collections import Counter
 
 from .algorithms import (
     MAX_STEADY_T,
@@ -42,22 +51,36 @@ from .errors import DomainError
 from .surface import unpack_slots_hex, validate_value_bits
 
 
-def lookup_replay(algo: Algorithm, S: int, T: int) -> list:
+def lookup_replay(algo: Algorithm, S: int, T: int, at=None) -> list:
     """Last write time per site after T ingests, by replaying selections.
 
     entries[k] = max{T' < T : selection of T' includes k}, or None when the
-    site was never written.  Raises ReplayLimitError past the practicality
-    cap and CapacityError when T exceeds the algorithm's supported length.
+    site was never written.  ``at``, ascending times no later than T, asks
+    for the table at each of them instead, from the same single pass; the
+    result is then a list of tables.  Raises ReplayLimitError past the
+    practicality cap and CapacityError when T exceeds the algorithm's
+    supported length.
     """
     _validate_algorithm_sites(algo, S)
     _validate_time(T)
     _refuse(algo, S, T, None, REPLAY_CAP)
+    stops = [T] if at is None else list(at)
+    for stop in stops:
+        _validate_time(stop)
+    if stops != sorted(stops) or (stops and stops[-1] > T):
+        raise DomainError(f"replay stops must ascend to at most T={T}")
     entries: list = [None] * S
+    tables = []
     # selection_stream refuses T past capacity
-    for Tp, selection in enumerate(selection_stream(algo, S, T)):
-        for k in selection:
-            entries[k] = Tp
-    return entries
+    selections = selection_stream(algo, S, T)
+    done = 0
+    for stop in stops:
+        for Tp, selection in zip(range(done, stop), selections):
+            for k in selection:
+                entries[k] = Tp
+        done = stop
+        tables.append(entries[:])
+    return tables[0] if at is None else tables
 
 
 def lookup_steady_fast(S: int, T: int) -> list:
@@ -111,40 +134,105 @@ def last_write_times(algo: Algorithm, S: int, T: int) -> list:
     selector = Selector(algo, S)
     _validate_time(T)
     _refuse(algo, S, T, selector.capacity, selector.reload_limit)
-    entries: list = []
+    return _tables_at(algo, S, [T])[0]
+
+
+def _tables_at(algo: Algorithm, S: int, Ts: list) -> list[list]:
+    # the table at each of the ascending, refused Ts; each greedy segment
+    # runs one forward pass to the last of them
+    tables: list = [[] for _ in Ts]
     for kind, size, _ in _segments(algo, S):
         if kind == "steady":
-            entries += lookup_steady_fast(size, T)
+            parts = [lookup_steady_fast(size, T) for T in Ts]
         elif kind == "stretched":
-            entries += _stretched_writers(size, T)
+            parts = _stretched_writers(size, Ts)
         else:
-            entries += lookup_replay(TILTED, size, T)
-    return entries
+            parts = lookup_replay(TILTED, size, Ts[-1], at=Ts)
+        for table, part in zip(tables, parts):
+            table += part
+    return tables
 
 
-def _stretched_writers(S: int, T: int) -> list:
+def _stretched_writers(S: int, Ts: list) -> list[list]:
     curator = _GreedyCurator(S, False)
-    curator.skip_to(T)
-    entries: list = [None] * S
-    for tbar, k in zip(curator.times, curator.sites):
-        entries[k] = tbar
-    return entries
+    parts = []
+    for T in Ts:
+        curator.skip_to(T)
+        part: list = [None] * S
+        for tbar, k in zip(curator.times, curator.sites):
+            part[k] = tbar
+        parts.append(part)
+    return parts
 
 
-def explode_row(algo, S: int, T: int, value_bits: int, text: str) -> list[tuple]:
-    """Explode one dump into (site, ingest_time, value) triples, site order.
+def _check_row(algo, S: int, T: int, value_bits: int, text: str):
+    """Check one dump; return its Algorithm, a Selector and its slots.
 
-    Unwritten sites yield (k, None, None); the zero padding they carry in
-    the hex digest is not a value.  ``algo`` may be an Algorithm or its
-    text token.
+    The checks run in a fixed order, so a row with several faults always
+    raises the same error: the token, the width, the sites, the hex, T,
+    then the reload limit and capacity.
     """
     if isinstance(algo, str):
         algo = parse_algorithm(algo)
     validate_value_bits(value_bits)
-    _validate_algorithm_sites(algo, S)
+    selector = Selector(algo, S)
     slots = unpack_slots_hex(text, S, value_bits)
-    entries = last_write_times(algo, S, T)
-    return [
-        (k, entries[k], slots[k] if entries[k] is not None else None)
-        for k in range(S)
-    ]
+    _validate_time(T)
+    _refuse(algo, S, T, selector.capacity, selector.reload_limit)
+    return algo, selector, slots
+
+
+class TableCache:
+    """Lookup tables for a batch of dumps, one forward pass per layout.
+
+    ``note`` each row before exploding any, then pass the cache to
+    ``explode_row``.  The first row of a layout with a greedy segment to
+    be exploded builds the tables at every T noted for that layout in one
+    pass, so the layout costs its deepest row, not the sum of its rows.
+    While that pass runs, its tables are lists; then each waits as an
+    ``array('q')``, 8 bytes a site with -1 where unwritten, until the last
+    row noted at its T takes it.  Steady layouts have a closed form at any
+    depth, so they are not held and each row builds its own.
+    """
+
+    def __init__(self):
+        self._wanted: dict[tuple, Counter] = {}  # (algo, S) -> rows per T
+        self._held: dict[tuple, list] = {}  # (algo, S, T) -> [rows left, table]
+
+    def note(self, algo, S: int, T: int, value_bits: int, text: str) -> None:
+        """Note one dump; raise as ``explode_row`` would for a bad one."""
+        algo, selector, _ = _check_row(algo, S, T, value_bits, text)
+        if selector.capacity is not None:  # bounded iff a segment is greedy
+            self._wanted.setdefault((algo, S), Counter())[T] += 1
+
+    def take(self, algo: Algorithm, S: int, T: int) -> list | None:
+        """The table of a noted row, or None if the row was not held."""
+        wanted = self._wanted.pop((algo, S), None)
+        if wanted is not None:
+            Ts = sorted(wanted)
+            for Tp, table in zip(Ts, _tables_at(algo, S, Ts)):
+                snapshot = array("q", [-1 if t is None else t for t in table])
+                self._held[(algo, S, Tp)] = [wanted[Tp], snapshot]
+        held = self._held.get((algo, S, T))
+        if held is None:
+            return None
+        held[0] -= 1
+        if not held[0]:
+            del self._held[(algo, S, T)]
+        return [None if t < 0 else t for t in held[1]]
+
+
+def explode_row(algo, S: int, T: int, value_bits: int, text: str, tables=None) -> list[tuple]:
+    """Explode one dump into (site, ingest_time, value) triples, site order.
+
+    Unwritten sites yield (k, None, None); the zero padding they carry in
+    the hex digest is not a value.  ``algo`` may be an Algorithm or its
+    text token.  ``tables``, a ``TableCache`` the row was noted in, hands
+    over its table from the layout's shared pass.
+    """
+    algo, _, slots = _check_row(algo, S, T, value_bits, text)
+    entries = None if tables is None else tables.take(algo, S, T)
+    if entries is None:
+        entries = _tables_at(algo, S, [T])[0]
+    # unwritten sites carry no value: their zero padding is not one
+    return [(k, tbar, None if tbar is None else slots[k]) for k, tbar in enumerate(entries)]

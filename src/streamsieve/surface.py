@@ -15,6 +15,7 @@ S * value_bits / 4 digits.  T travels separately.
 from __future__ import annotations
 
 import string
+import struct
 
 from .algorithms import Algorithm, Selector, _refuse, _validate_time, has_ingest_capacity
 from .errors import (
@@ -28,6 +29,11 @@ from .errors import (
 VALID_VALUE_BITS = (1, 8, 16, 32, 64)
 
 _HEX_DIGITS = frozenset(string.hexdigits)
+_HEX_BYTES = string.hexdigits.encode("ascii")
+# big-endian struct codes for unpacking each multi-bit width
+_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+# ASCII "0"/"1" -> 0/1, for reading a 1-bit dump as a bit string
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def validate_value_bits(value_bits: int) -> None:
@@ -55,8 +61,9 @@ def pack_slots_hex(slots, value_bits: int) -> str:
 def unpack_slots_hex(text: str, S: int, value_bits: int) -> list[int]:
     """Inverse of pack_slots_hex; strict about length and charset.
 
-    A HexFormatError names what was wrong, never the text itself, which
-    may be megabytes long.
+    Linear in S: a 1-bit dump is read as one bit string, wider ones with
+    ``bytes.fromhex`` and ``struct``.  A HexFormatError names what was
+    wrong, never the text itself, which may be megabytes long.
     """
     validate_value_bits(value_bits)
     digits = hex_digest_length(S, value_bits)
@@ -64,13 +71,16 @@ def unpack_slots_hex(text: str, S: int, value_bits: int) -> list[int]:
         got = type(text).__name__
     elif len(text) != digits:
         got = f"{len(text)} characters"
-    elif not _HEX_DIGITS.issuperset(text):
+    elif not (text.isascii() and not text.encode("ascii").translate(None, _HEX_BYTES)):
+        # translate left a character that is not a hex digit; name the first
         bad = next(i for i, c in enumerate(text) if c not in _HEX_DIGITS)
         got = f"non-hex {text[bad]!r} at index {bad}"
+    elif value_bits == 1:
+        # S is a multiple of 4, so one digit is 4 slots, most significant first
+        return list(format(int(text, 16), f"0{S}b").encode().translate(_BIT_VALUES))
     else:
-        acc = int(text, 16)
-        mask = (1 << value_bits) - 1
-        return [(acc >> ((S - 1 - k) * value_bits)) & mask for k in range(S)]
+        # the charset check stands: fromhex would skip whitespace
+        return list(struct.unpack(f">{S}{_STRUCT_CODES[value_bits]}", bytes.fromhex(text)))
     raise HexFormatError(f"expected {digits} hex digits for S={S} width={value_bits}, got {got}")
 
 

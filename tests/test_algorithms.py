@@ -317,6 +317,32 @@ def test_algorithm_tokens_round_trip():
             parse_algorithm(f"hybrid(steady:{size}+tilted:4)")
 
 
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        (
+            f"hybrid(steady:{'4' * 5000}+tilted:4)",
+            "bad hybrid segment 'steady:444444444444444444444444... (5009 characters) "
+            "in 'hybrid(steady:44444444444444444... (5026 characters)",
+        ),
+        ("x" * 5000, "unknown algorithm token 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx... (5002 characters)"),
+        (
+            f"hybrid({'x' * 5000}:4+tilted:4)",
+            "hybrid segments must be scalar profiles, got "
+            "'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx... (5002 characters)",
+        ),
+        ("hybrid(steady:4+x)", "bad hybrid segment 'x' in 'hybrid(steady:4+x)'"),
+        ("steadyy", "unknown algorithm token 'steadyy'"),
+    ],
+    ids=["5000-digit-size", "5000-char-token", "5000-char-kind", "short-segment", "short-token"],
+)
+def test_token_errors_repeat_a_bounded_prefix(token, message):
+    # a short value is repeated whole; a long one by its start and length
+    with pytest.raises(ConfigurationError) as info:
+        parse_algorithm(token)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # uniform dispatcher
 
@@ -387,6 +413,54 @@ def test_selector_resume_matches_straight_run():
             stop = min(at + 8, count)
             assert [selector.step() for _ in range(at, stop)] == straight[at:stop], (algo, at)
             assert selector.T == stop
+
+
+def _selector_state(selector):
+    return selector.T, [
+        None if c is None else (c.T, c.times, c.sites, c.buckets, c.next_write)
+        for _, _, c in selector._parts
+    ]
+
+
+@pytest.mark.parametrize(
+    "algo, S, Ts",
+    [
+        (STEADY, 64, [0, 1, 1, 63, 64, 1000, 1 << 40]),
+        (STRETCHED, 16, [0, 3, 15, 16, 17, 200, 200, 5000, 65534]),
+        (TILTED, 16, [0, 3, 15, 16, 17, 200, 200, 5000, 12000]),
+        (hybrid(("stretched", 4), ("steady", 8), ("tilted", 4)), 16, list(range(15))),
+        (hybrid(("stretched", 4), ("steady", 8), ("tilted", 4)), 16, [0, 2, 2, 9, 14]),
+        (STRETCHED, 64, sorted(random.Random(64).sample(range(1 << 16), 12))),
+        (TILTED, 64, sorted(random.Random(65).sample(range(1 << 13), 12))),
+    ],
+    ids=["steady64", "stretched16", "tilted16", "hybrid-every-T", "hybrid-sparse",
+         "stretched64-seeded", "tilted64-seeded"],
+)
+def test_chained_seeks_match_fresh_seeks(algo, S, Ts):
+    """One selector seeking through ascending Ts is, at each T, the same
+    state as a fresh selector that seeks straight there."""
+    from streamsieve.algorithms import Selector
+
+    chained = Selector(algo, S)
+    for T in Ts:
+        chained.seek(T)
+        fresh = Selector(algo, S)
+        fresh.seek(T)
+        assert _selector_state(chained) == _selector_state(fresh), (algo, T)
+
+
+def test_seek_refuses_to_go_back():
+    from streamsieve import DomainError
+    from streamsieve.algorithms import Selector
+
+    for algo, S in ((STEADY, 4), (STRETCHED, 8), (TILTED, 8)):
+        selector = Selector(algo, S)
+        selector.seek(20)
+        with pytest.raises(DomainError):
+            selector.seek(19)
+        before = _selector_state(selector)
+        selector.seek(20)  # the same T is no move
+        assert _selector_state(selector) == before
 
 
 def _assert_steps_match(curator, scan, steps, label):

@@ -1,10 +1,13 @@
 """End-to-end tests of the ``streamsieve`` command line, driven in-process."""
 
 import csv
+import random
+from operator import itemgetter
 
 import pytest
 
-from streamsieve import REPLAY_CAP
+from streamsieve import REPLAY_CAP, explode_row
+from streamsieve.algorithms import MAX_STEADY_T, _GreedyCurator
 from streamsieve.benchmark import BENCH_FIELDS
 from streamsieve.cli import main
 
@@ -204,6 +207,130 @@ class TestExplode:
         with open(out, newline="") as fileobj:
             assert fileobj.read() == expected
 
+    def test_matches_one_explode_row_per_row(self, tmp_path, capsys):
+        """The batch writes the bytes that one explode_row call per row, in
+        input order, wrote before rows of a layout shared one pass."""
+        for seed in range(3):
+            rng = random.Random(seed)
+            rows = _explode_cases(rng)
+            rng.shuffle(rows)
+            src = tmp_path / f"dumps{seed}.csv"
+            src.write_text("dstream_algo,dstream_S,dstream_T,dstream_storage_hex,label\n" + "".join(rows))
+            got, want = tmp_path / f"got{seed}.csv", tmp_path / f"want{seed}.csv"
+            code = main(["explode", str(src), str(got), "--value-bits", "8"])
+            err = capsys.readouterr().err
+            assert (code, err) == _explode_per_row(src, want, 8), seed
+            assert got.read_bytes() == want.read_bytes(), seed
+            assert (tmp_path / f"got{seed}.csv.rejects").read_bytes() == (
+                tmp_path / f"want{seed}.csv.rejects"
+            ).read_bytes(), seed
+
+    def test_one_forward_pass_per_layout(self, tmp_path, monkeypatch, capsys):
+        # k rows of one tilted layout step its curator to the deepest T once
+        Ts = [3000, 17, 4000, 17, 900, 0, 2500]
+        src = tmp_path / "dumps.csv"
+        write_csv(src, DUMP_HEADER, [["tilted", 64, T, "00" * 64, T] for T in Ts])
+        steps = []
+        step = _GreedyCurator.step
+
+        def counting(curator):
+            steps.append(curator.T)
+            return step(curator)
+
+        monkeypatch.setattr(_GreedyCurator, "step", counting)
+        assert main(["explode", str(src), str(tmp_path / "long.csv"), "--value-bits", "8"]) == 0
+        assert len(steps) == max(Ts)  # not sum(Ts) = 10434
+        assert steps == list(range(max(Ts)))
+
+
+def _explode_cases(rng):
+    """CSV lines (header: algo, S, T, hex, label) covering every route and
+    every reject, with repeated and descending Ts within a layout."""
+
+    def dump(S):
+        return rng.randbytes(S).hex()
+
+    good = [
+        *(("tilted", 16, T) for T in (300, 50, 300, 10, 4000, 0, 1, 16)),
+        *(("stretched", 16, T) for T in (65534, 17, 200, 200, 3)),
+        ("stretched", 64, rng.randrange(1 << 16)),
+        ("stretched", 64, rng.randrange(1 << 16)),
+        *(("hybrid(steady:32+tilted:32)", 64, T) for T in (2000, 64, 2000, 5)),
+        ("hybrid(steady:32+tilted:032)", 64, 700),  # the same layout, spelled apart
+        *(("hybrid(stretched:4+steady:8+tilted:4)", 16, T) for T in (14, 3, 9, 9)),
+        ("hybrid(steady:4+steady:4)", 8, REPLAY_CAP),
+        ("steady", 64, 1 << 63),
+        ("steady", 4, MAX_STEADY_T),
+        ("steady", 256, rng.randrange(1 << 62)),
+        ("steady", 256, 100),
+    ]
+    lines = [f"{a},{S},{T},{dump(S)},ok\n" for a, S, T in good]
+    lines += [
+        f"tilted,16,5,{dump(16)},extra,cell\n",  # more cells than the header
+        f"steady,four,8,{dump(4)},bad S\n",
+        f"steady,4,1.5,{dump(4)},bad T\n",
+        f",4,8,{dump(4)},empty token\n",
+        "steady,4,8\n",  # the hex cell is missing
+        f"bogus,4,8,{dump(4)},bad token\n",
+        f"steady,6,8,{dump(6)},bad S\n",
+        f"hybrid(steady:32+tilted:32),32,8,{dump(32)},sites mismatch\n",
+        f"tilted,16,8,{dump(15)},short hex\n",
+        f"tilted,16,8,zz{dump(15)},non-hex\n",
+        f"tilted,16,-1,{dump(16)},negative T\n",
+        f"stretched,4,100,{dump(4)},past capacity\n",
+        f"tilted,8,{1 << 40},{dump(8)},past the reload limit\n",
+        f"hybrid(steady:4+steady:4),8,{REPLAY_CAP + 1},{dump(8)},past the reload limit\n",
+        f"steady,4,{MAX_STEADY_T + 1},{dump(4)},past the reload limit\n",
+        # several faults: each row reports the first in the check order
+        "x,y,z,w,bad S and T\n",
+        "steady,4,x,zz,bad T and hex\n",
+        "bogus,6,-1,zz,bad token sites T and hex\n",
+        "steady,6,-1,zz,bad sites T and hex\n",
+        f"tilted,8,{1 << 40},zz,bad hex and past both bounds\n",
+        f"stretched,4,-5,{dump(4)},negative and within bounds\n",
+    ]
+    return lines
+
+
+def _explode_per_row(src, out, value_bits):
+    """The explode loop as it was: one explode_row call per input row."""
+    with open(src, newline="") as infile:
+        reader = csv.reader(infile)
+        fields = next(reader)
+        rows = [cells for cells in reader if cells]
+    width = len(fields)
+    column = {name: i for i, name in enumerate(fields)}
+    algo_at, s_at, t_at, hex_at = (
+        column[c] for c in ("dstream_algo", "dstream_S", "dstream_T", "dstream_storage_hex")
+    )
+    records = ("dstream_row", "dstream_site", "dstream_Tbar", "dstream_value")
+    column.update({name: width + i for i, name in enumerate(records)})
+    out_fields = ["dstream_row", *fields, *records[1:]]
+    pick = itemgetter(*(column[name] for name in out_fields))
+    rejects = []
+    with open(out, "w", newline="") as outfile:
+        writer = csv.writer(outfile, lineterminator="\n")
+        writer.writerow(out_fields)
+        for ordinal, cells in enumerate(rows):
+            if len(cells) > width:
+                rejects.append((ordinal, f"row has {len(cells)} cells but the header has {width}"))
+                continue
+            cells += [None] * (width - len(cells))
+            try:
+                triples = explode_row(
+                    cells[algo_at], int(cells[s_at]), int(cells[t_at]), value_bits, cells[hex_at]
+                )
+            except (ValueError, TypeError) as exc:
+                rejects.append((ordinal, str(exc)))
+                continue
+            writer.writerows(pick((*cells, ordinal) + triple) for triple in triples)
+    with open(str(out) + ".rejects", "w", newline="") as rejfile:
+        writer = csv.writer(rejfile, lineterminator="\n")
+        writer.writerow(["dstream_row", "error"])
+        writer.writerows(rejects)
+    err = f"{len(rejects)} of {len(rows)} rows rejected\n" if rejects else ""
+    return (1 if rejects else 0), err
+
 
 class TestValidate:
     def test_generate_then_check(self, tmp_path, capsys):
@@ -258,6 +385,8 @@ class TestValidate:
         assert "Traceback" not in err
         assert err.count("vector 0 ") == 1
         assert "checked 1 vectors: 1 mismatches" in err
+        # a bad token is named by a bounded prefix, once
+        assert all(len(line) < 200 for line in err.splitlines())
 
     def test_default_algos_generate_and_pass(self, tmp_path):
         path = tmp_path / "vectors.csv"

@@ -11,7 +11,10 @@ from streamsieve import (
     STRETCHED,
     TILTED,
     CapacityError,
+    DomainError,
     ReplayLimitError,
+    StreamSieveError,
+    TableCache,
     explode_row,
     hybrid,
     last_write_times,
@@ -172,6 +175,91 @@ def test_last_write_times_matches_replay(algo, S, Ts):
     for T, replayed in _replayed_tables(algo, S, Ts):
         assert last_write_times(algo, S, T) == replayed, (algo, S, T)
     assert replayed == lookup_replay(algo, S, T)
+
+
+
+@pytest.mark.parametrize(
+    "algo, S, Ts",
+    [
+        (STRETCHED, 16, range(0, 65535, 5)),
+        (TILTED, 16, [0, 1, 1, 15, 16, 17, 300, 300, 4000]),
+        (hybrid(("stretched", 4), ("steady", 8), ("tilted", 4)), 16, range(15)),
+        (hybrid(("steady", 32), ("tilted", 32)), 64, [0, 5, 64, 64, 700, 2000]),
+        (STEADY, 64, [0, 63, 64, 1000, 1000, 4096]),
+        (STRETCHED, 1024, _SEEDED),
+    ],
+    ids=["stretched16", "tilted16", "stretched4+steady8+tilted4", "steady32+tilted32",
+         "steady64", "stretched1024-seeded"],
+)
+def test_tables_at_several_Ts_match_replay(algo, S, Ts):
+    # one forward pass per segment gives the replayed table at every T
+    Ts = list(Ts)
+    tables = streamsieve.lookup._tables_at(algo, S, Ts)
+    assert len(tables) == len(Ts)
+    for table, (T, replayed) in zip(tables, _replayed_tables(algo, S, Ts)):
+        assert table == replayed, (algo, S, T)
+
+
+def test_replay_stops_match_separate_replays():
+    for algo, S in ((STEADY, 8), (STRETCHED, 8), (TILTED, 8), (hybrid(("steady", 8), ("tilted", 8)), 16)):
+        stops = [0, 0, 3, 8, 9, 9, 100, 180]
+        assert lookup_replay(algo, S, 200, at=stops) == [lookup_replay(algo, S, T) for T in stops]
+        assert lookup_replay(algo, S, 180, at=stops)[-1] == lookup_replay(algo, S, 180)
+        assert lookup_replay(algo, S, 200, at=[]) == []
+
+
+@pytest.mark.parametrize("stops", [[5, 4], [0, 201], [-1, 3], [1.0], ["3"]])
+def test_replay_stops_must_ascend_within_T(stops):
+    with pytest.raises(DomainError):
+        lookup_replay(TILTED, 8, 200, at=stops)
+
+
+def test_table_cache_hands_each_noted_row_its_table(monkeypatch):
+    """Rows noted in a TableCache explode as they do alone, each greedy
+    layout in one pass, and the cache holds nothing once all are taken."""
+    rows = [
+        ("tilted", 16, T) for T in (300, 50, 300, 10, 4000, 0)
+    ] + [
+        ("stretched", 16, T) for T in (65534, 17, 200, 200)
+    ] + [
+        ("hybrid(stretched:4+steady:8+tilted:4)", 16, T) for T in (14, 3, 9, 9)
+    ] + [("hybrid(steady:4+steady:4)", 8, REPLAY_CAP), ("steady", 64, 1 << 63)]
+    rng = random.Random(5)
+    rng.shuffle(rows)
+    dumps = [(algo, S, T, rng.randbytes(S).hex()) for algo, S, T in rows]
+    alone = [explode_row(algo, S, T, 8, text) for algo, S, T, text in dumps]
+    cache = TableCache()
+    for algo, S, T, text in dumps:
+        cache.note(algo, S, T, 8, text)
+    passes = []
+    tables_at = streamsieve.lookup._tables_at
+
+    def counting(algo, S, Ts):
+        passes.append((str(algo), S, list(Ts)))
+        return tables_at(algo, S, Ts)
+
+    monkeypatch.setattr(streamsieve.lookup, "_tables_at", counting)
+    together = [explode_row(algo, S, T, 8, text, cache) for algo, S, T, text in dumps]
+    assert together == alone
+    assert sorted(passes) == [
+        ("hybrid(steady:4+steady:4)", 8, [REPLAY_CAP]),
+        ("hybrid(stretched:4+steady:8+tilted:4)", 16, [3, 9, 14]),
+        ("steady", 64, [1 << 63]),
+        ("stretched", 16, [17, 200, 65534]),
+        ("tilted", 16, [0, 10, 50, 300, 4000]),
+    ]
+    assert not cache._wanted and not cache._held
+
+
+def test_table_cache_note_raises_as_explode_row_does():
+    cache = TableCache()
+    for args in (("bogus", 4, 8, 8, "00" * 4), ("tilted", 8, 2**40, 8, "00" * 8), ("steady", 4, 8, 8, "zz")):
+        with pytest.raises(StreamSieveError) as noted:
+            cache.note(*args)
+        with pytest.raises(StreamSieveError) as exploded:
+            explode_row(*args)
+        assert (type(noted.value), str(noted.value)) == (type(exploded.value), str(exploded.value))
+    assert not cache._wanted
 
 
 # ---------------------------------------------------------------------------

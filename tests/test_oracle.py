@@ -8,11 +8,16 @@ import pytest
 
 from streamsieve import (
     STEADY,
+    TILTED,
+    ConfigurationError,
+    DomainError,
+    StreamSieveError,
     check_steady_gap,
     epoch,
     lookup_replay,
     needed_set_steady,
     density_monotonicity_check,
+    run_benchmark,
     window_coverage_metric,
 )
 
@@ -111,3 +116,37 @@ def test_checkers_on_greedy_replays():
     assert density_monotonicity_check(tilted, T, "tilted", 2)
     assert window_coverage_metric(stretched, T, "depth") >= 0.9
     assert window_coverage_metric(tilted, T, "age") >= 0.9
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: needed_set_steady(6, 8), ConfigurationError),
+        (lambda: needed_set_steady(4, 0), DomainError),
+        (lambda: check_steady_gap([0], 4, -1), DomainError),
+        (lambda: check_steady_gap([0], 3, 8), ConfigurationError),
+        (lambda: window_coverage_metric([0], 16, "recency"), ConfigurationError),
+        (lambda: window_coverage_metric([0], 1, "age"), DomainError),
+        (lambda: density_monotonicity_check({0}, 64, "sideways", 2), ConfigurationError),
+        (lambda: density_monotonicity_check({0}, 7, "tilted", 2), DomainError),
+        (lambda: run_benchmark(STEADY, [64], [(5, 2)], 1), DomainError),
+        (lambda: run_benchmark(STEADY, [64], [(0, 8, 16)], 1), DomainError),
+        (lambda: run_benchmark(STEADY, [64], [8], 1), DomainError),
+        (lambda: run_benchmark(TILTED, [8], [(1, 64)], 1), DomainError),
+        (lambda: run_benchmark(STEADY, [64], [(0, 8)], 0), DomainError),
+        (lambda: run_benchmark(STEADY, [], [(0, 8)], 1), ConfigurationError),
+        (lambda: run_benchmark(STEADY, [64], [], 1), DomainError),
+        (lambda: run_benchmark(STEADY, [6], [(0, 8)], 1), ConfigurationError),
+    ],
+    ids=[
+        "needed-S", "needed-T", "gap-T", "gap-S", "coverage-mode", "coverage-T",
+        "density-direction", "density-T", "bench-reversed-window", "bench-triple-window",
+        "bench-int-window", "bench-replay-window-start", "bench-replicates",
+        "bench-no-sizes", "bench-no-windows", "bench-S",
+    ],
+)
+def test_bad_arguments_raise_library_errors(call, error):
+    # every library error is a StreamSieveError, and still a ValueError
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, StreamSieveError)

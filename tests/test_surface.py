@@ -152,6 +152,52 @@ def test_hex_round_trip(S, value_bits, rng):
     assert unpack_slots_hex(text, S, value_bits) == slots
 
 
+def _shift_unpack(text, S, value_bits):
+    # the former quadratic decoder, kept as the oracle for the linear one
+    acc = int(text, 16)
+    mask = (1 << value_bits) - 1
+    return [(acc >> ((S - 1 - k) * value_bits)) & mask for k in range(S)]
+
+
+@pytest.mark.parametrize("value_bits", [1, 8, 16, 32, 64])
+def test_linear_unpack_matches_the_shift_loop(value_bits):
+    rng = random.Random(value_bits)
+    for S in (4, 8, 16, 64, 256, 1024, 4096):
+        # random values, plus every slot at its extremes
+        for slots in (
+            [rng.getrandbits(value_bits) for _ in range(S)],
+            [0] * S,
+            [(1 << value_bits) - 1] * S,
+        ):
+            text = pack_slots_hex(slots, value_bits)
+            assert unpack_slots_hex(text, S, value_bits) == _shift_unpack(text, S, value_bits) == slots
+            # upper-case digits are hex digits too
+            assert unpack_slots_hex(text.upper(), S, value_bits) == slots
+
+
+def test_linear_unpack_of_the_largest_dump():
+    S = 1 << 20
+    slots = list(random.Random(20).randbytes(S))
+    assert unpack_slots_hex(bytes(slots).hex(), S, 8) == slots
+
+
+@pytest.mark.parametrize(
+    "text, got",
+    [
+        ("0501 703", "non-hex ' ' at index 4"),  # bytes.fromhex skips spaces
+        ("050107\n3", "non-hex '\\n' at index 6"),
+        ("0501_703", "non-hex '_' at index 4"),  # int() skips underscores
+        ("\u0665501\u0667703", "non-hex '\u0665' at index 0"),  # int() reads other digits
+        ("0501\ud800703", "non-hex '\\ud800' at index 4"),  # a lone surrogate
+    ],
+)
+def test_unpack_keeps_the_strict_charset(text, got):
+    for value_bits, S in ((8, 4), (1, 32)):
+        with pytest.raises(HexFormatError) as info:
+            unpack_slots_hex(text, S, value_bits)
+        assert str(info.value) == f"expected 8 hex digits for S={S} width={value_bits}, got {got}"
+
+
 def test_from_hex_round_trip_with_written_flags():
     r = Surface.from_hex(STEADY, 4, 8, 8, "05010703")
     assert r.slots == [5, 1, 7, 3]
