@@ -43,12 +43,14 @@ once and owns its curators; a reload seeks a fresh one to T.  Only the
 pointwise ``site_selection``/``*_assign`` go through a lock-guarded
 per-(profile, S) replay memo.
 
-How far a layout goes is decided here.  Its capacity is 2**size - 2 for
-its smallest greedy segment, None when all are steady.  ``_refuse`` holds n
-arrivals to the bound a path applies (ReplayLimitError), then to capacity
-(CapacityError).  Pointwise selection of arrival T (n = T + 1) applies
-REPLAY_CAP when a greedy segment exists, as do ``lookup_replay`` and replay
-benchmark windows; ``last_write_times``, ``Surface.from_hex`` and
+How far a layout goes follows from its segments alone.  With a greedy
+segment its capacity is 2**size - 2 for the smallest one, and it is held
+to REPLAY_CAP wherever it is stepped forward; with none (capacity None) it
+is closed form, and reloads at any T up to MAX_STEADY_T.  ``_refuse``
+holds n arrivals to the bound a path applies (ReplayLimitError), then to
+capacity (CapacityError).  Pointwise selection of arrival T (n = T + 1),
+``lookup_replay`` and benchmark windows apply REPLAY_CAP if a segment is
+greedy; ``last_write_times``, ``Surface.from_hex``, ``Surface.ingest`` and
 ``explode_row`` apply the selector's reload limit; ``selection_stream``
 applies capacity only.
 """
@@ -265,9 +267,9 @@ def epoch(S: int, T: int) -> int:
 
 def _capacity(algo: Algorithm, S: int) -> int | None:
     # ingests a layout supports: 2**size - 2 for its smallest greedy
-    # segment (a scalar rule is one segment of S sites), None if all steady
-    smallest = None if algo.segments or algo.kind == "steady" else S
-    for kind, size in algo.segments:
+    # segment, None if all are steady
+    smallest = None
+    for kind, size, _ in _segments(algo, S):
         if kind != "steady" and (smallest is None or size < smallest):
             smallest = size
     return None if smallest is None else (1 << smallest) - 2
@@ -610,10 +612,8 @@ class Selector:
     and advances T; callers check capacity up front.  ``capacity`` is the
     layout's supported ingest count (None if unbounded).  ``reload_limit``
     is the largest T at which a dump of this layout can be reloaded:
-    MAX_STEADY_T for the scalar steady rule and REPLAY_CAP for every other
-    layout.  A reload (``seek``) and ``last_write_times`` replay only
-    tilted segments, so the limit of a layout without one is kept at
-    REPLAY_CAP by choice, not by its cost.
+    MAX_STEADY_T, the closed form's range, when every segment is steady,
+    and REPLAY_CAP when a greedy segment must be stepped forward to T.
     """
 
     __slots__ = ("T", "capacity", "reload_limit", "_parts")
@@ -622,7 +622,7 @@ class Selector:
         _validate_algorithm_sites(algo, S)
         self.T = 0
         self.capacity = _capacity(algo, S)
-        self.reload_limit = MAX_STEADY_T if algo.kind == "steady" else REPLAY_CAP
+        self.reload_limit = MAX_STEADY_T if self.capacity is None else REPLAY_CAP
         self._parts = [
             (offset, size, None if kind == "steady" else _GreedyCurator(size, kind == "tilted"))
             for kind, size, offset in _segments(algo, S)

@@ -1,10 +1,11 @@
 """Microbenchmark runner for the site-selection rules.
 
-Times assignment over half-open ingest windows [t_lo, t_hi).  The steady
-rule is a pure call per T, so any window offset is fair game and the cost
-of deep streams can be measured directly.  The greedy rules only exist as
-replays, so they are timed as a fresh incremental replay per window, which
-restricts their windows to start at 0 and stay within the replay cap.
+Times assignment over half-open ingest windows [t_lo, t_hi), which may
+start anywhere.  Every layout is timed one way: a fresh ``Selector`` per
+replicate seeks to t_lo outside the timed region, then steps each arrival
+of the window.  Steady segments seek for free at any depth; a greedy one
+steps forward to t_lo, so its windows stay within capacity and the replay
+cap.
 
 No I/O happens inside a timed region; the clock is perf_counter_ns.
 """
@@ -19,7 +20,6 @@ from .algorithms import (
     Algorithm,
     Selector,
     _refuse,
-    steady_assign,
     stream_capacity,
 )
 from .errors import ConfigurationError, DomainError
@@ -46,28 +46,17 @@ def _validate_window(algo: Algorithm, S: int, capacity: int | None, window) -> t
         t_lo = t_hi = None
     if not (isinstance(t_lo, int) and isinstance(t_hi, int)) or t_lo < 0 or t_hi <= t_lo:
         raise DomainError(f"bad depth window {window!r}")
-    if algo.kind != "steady":
-        if t_lo != 0:
-            raise DomainError(
-                f"{algo} is replay-defined; depth windows must start at 0, got {window!r}"
-            )
-        _refuse(algo, S, t_hi, capacity, REPLAY_CAP)
+    _refuse(algo, S, t_hi, capacity, None if capacity is None else REPLAY_CAP)
     return t_lo, t_hi
 
 
-def _time_steady(S: int, t_lo: int, t_hi: int) -> int:
-    assign = steady_assign
-    t0 = perf_counter_ns()
-    for T in range(t_lo, t_hi):
-        assign(S, T)
-    return perf_counter_ns() - t0
-
-
-def _time_replay(algo: Algorithm, S: int, t_hi: int) -> int:
+def _time_window(algo: Algorithm, S: int, t_lo: int, t_hi: int) -> int:
     # fresh state per replicate so every run pays the true per-step cost
-    step = Selector(algo, S).step
+    selector = Selector(algo, S)
+    selector.seek(t_lo)
+    step = selector.step
     t0 = perf_counter_ns()
-    for _ in range(t_hi):
+    for _ in range(t_hi - t_lo):
         step()
     return perf_counter_ns() - t0
 
@@ -93,10 +82,7 @@ def run_benchmark(algo: Algorithm, sizes, windows, replicates: int) -> list[Benc
     for S, t_lo, t_hi in plans:
         items = t_hi - t_lo
         for replicate in range(replicates):
-            if algo.kind == "steady":
-                total_ns = _time_steady(S, t_lo, t_hi)
-            else:
-                total_ns = _time_replay(algo, S, t_hi)
+            total_ns = _time_window(algo, S, t_lo, t_hi)
             results.append(
                 BenchResult(token, S, t_lo, t_hi, items, total_ns, total_ns / items, replicate)
             )

@@ -85,7 +85,11 @@ def _cmd_explode(args) -> int:
                     cells[algo_at], int(cells[s_at]), int(cells[t_at]), args.value_bits, cells[hex_at]
                 )
     rejects: list[tuple[int, str]] = []
-    with open(args.output, "w", newline="") as outfile:
+    try:
+        outfile = open(args.output, "w", newline="")
+    except OSError as exc:
+        return _fail_usage(f"cannot write {args.output}: {exc}")
+    with outfile:
         writer = csv.writer(outfile, lineterminator="\n")
         writer.writerow(out_fields)
         for ordinal, cells in enumerate(rows):
@@ -109,7 +113,11 @@ def _cmd_explode(args) -> int:
             writer.writerows(pick(head + triple) for triple in triples)
 
     # the rejects report always exists so downstream scripts can rely on it
-    with open(args.output + ".rejects", "w", newline="") as rejfile:
+    try:
+        rejfile = open(args.output + ".rejects", "w", newline="")
+    except OSError as exc:
+        return _fail_usage(f"cannot write {args.output}.rejects: {exc}")
+    with rejfile:
         writer = csv.writer(rejfile, lineterminator="\n")
         writer.writerow(["dstream_row", "error"])
         writer.writerows(rejects)
@@ -129,7 +137,11 @@ def _cmd_validate(args) -> int:
             )
         except StreamSieveError as exc:
             return _fail_usage(str(exc))
-        with open(args.generate, "w", newline="") as fileobj:
+        try:
+            fileobj = open(args.generate, "w", newline="")
+        except OSError as exc:
+            return _fail_usage(f"cannot write {args.generate}: {exc}")
+        with fileobj:
             write_vectors_csv(fileobj, vectors)
         print(f"wrote {len(vectors)} vectors to {args.generate}", file=sys.stderr)
         return 0
@@ -179,7 +191,10 @@ def _cmd_bench(args) -> int:
         results = run_benchmark(algo, sizes, windows, args.replicates)
     except (ValueError, TypeError) as exc:
         return _fail_usage(str(exc))
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
+    try:
+        out = open(args.output, "w", newline="") if args.output else sys.stdout
+    except OSError as exc:
+        return _fail_usage(f"cannot write {args.output}: {exc}")
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(BENCH_FIELDS)
@@ -275,8 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="time site selection over ingest windows",
         description=(
             "Time selection for each size and half-open depth window, one "
-            "CSV row per replicate. Steady windows may start anywhere; the "
-            "replay-defined profiles require windows starting at 0."
+            "CSV row per replicate. Windows may start anywhere; a layout "
+            "with a greedy segment is stepped to the window's start untimed."
         ),
     )
     p_bench.add_argument("--algo", default="steady")

@@ -17,14 +17,8 @@ from __future__ import annotations
 import string
 import struct
 
-from .algorithms import Algorithm, Selector, _refuse, _validate_time, has_ingest_capacity
-from .errors import (
-    CapacityError,
-    ConfigurationError,
-    DomainError,
-    HexFormatError,
-    ReplayLimitError,
-)
+from .algorithms import Algorithm, Selector, _refuse, _segments, _validate_time, has_ingest_capacity
+from .errors import ConfigurationError, DomainError, HexFormatError
 
 VALID_VALUE_BITS = (1, 8, 16, 32, 64)
 
@@ -49,8 +43,15 @@ def hex_digest_length(S: int, value_bits: int) -> int:
 
 
 def pack_slots_hex(slots, value_bits: int) -> str:
-    """Pack slot values into the canonical lowercase hex digest."""
+    """Pack slot values into the canonical lowercase hex digest.
+
+    Raises DomainError, naming the first such slot, when a value is
+    negative or wider than ``value_bits``.
+    """
     validate_value_bits(value_bits)
+    if slots and (min(slots) < 0 or max(slots) >> value_bits):
+        k = next(k for k, v in enumerate(slots) if v < 0 or v >> value_bits)
+        raise DomainError(f"slot {k} holds {slots[k]!r}, which does not fit in {value_bits} bits")
     acc = 0
     for v in slots:
         acc = (acc << value_bits) | v
@@ -113,29 +114,23 @@ class Surface:
         the segment's size, so site k of a segment is written once T > k.
         """
         T = self.T
-        return [k < T for _, size, _ in self._selector._parts for k in range(size)]
+        return [k < T for _, size, _ in _segments(self.algo, self.S) for k in range(size)]
 
     def ingest(self, value: int) -> frozenset[int]:
         """Store one arriving value; returns the selected sites.
 
         An empty selection means the arrival was discarded.  The counter
         advances either way.  Raises, before any state change,
+        ReplayLimitError when a dump taken after this ingest could not be
+        reloaded (T would pass the selector's reload limit), else
         CapacityError when the algorithm's supported stream length is
-        exhausted, ReplayLimitError when a dump taken after this ingest
-        could not be reloaded (T would pass the selector's reload limit),
-        and DomainError when the value does not fit the configured width.
+        exhausted, both with ``_refuse``'s messages; and DomainError when
+        the value does not fit the configured width.
         """
         selector = self._selector
         T = selector.T
-        if not has_ingest_capacity(self.algo, self.S, T):
-            raise CapacityError(
-                f"{self.algo} with S={self.S} cannot ingest item T={T}"
-            )
-        if T >= selector.reload_limit:
-            raise ReplayLimitError(
-                f"{self.algo} with S={self.S} cannot ingest item T={T}: "
-                f"a dump past T={selector.reload_limit} cannot be reloaded"
-            )
+        if not has_ingest_capacity(self.algo, self.S, T) or T >= selector.reload_limit:
+            _refuse(self.algo, self.S, T + 1, selector.capacity, selector.reload_limit)
         if not isinstance(value, int) or isinstance(value, bool) or value < 0 or value >> self.value_bits:
             raise DomainError(
                 f"value {value!r} does not fit in {self.value_bits} bits"

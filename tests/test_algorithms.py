@@ -29,7 +29,7 @@ from streamsieve import (
     tilted_assign,
     validate_site_count,
 )
-from streamsieve.algorithms import _GreedyCurator
+from streamsieve.algorithms import MAX_STEADY_T, _GreedyCurator
 
 from reference_rules import ScanCurator, greedy_selections, trailing_ones
 
@@ -261,6 +261,54 @@ def test_every_entry_point_refuses_with_one_class(algo, S, T, error):
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error
+
+
+ALL_STEADY = hybrid(("steady", 4), ("steady", 4))
+
+
+@pytest.mark.parametrize("T", [2**40, MAX_STEADY_T], ids=["2**40", "2**64-1"])
+def test_all_steady_hybrid_reaches_the_closed_form_range(T):
+    """No segment is greedy, so no path steps forward: the layout goes as
+    deep as steady does, and each segment's table is the steady one."""
+    from streamsieve import Surface, explode_row, last_write_times, lookup_steady_fast
+
+    table = lookup_steady_fast(4, T) + lookup_steady_fast(4, T)
+    assert last_write_times(ALL_STEADY, 8, T) == table
+    assert [tbar for _, tbar, _ in explode_row(ALL_STEADY, 8, T, 8, "00" * 8)] == table
+    surface = Surface.from_hex(ALL_STEADY, 8, T - 1, 8, "00" * 8)
+    assert surface.ingest(1) == site_selection(ALL_STEADY, 8, T - 1)
+    assert surface.T == T
+
+
+def test_all_steady_hybrid_refuses_past_the_closed_form_range():
+    from streamsieve import Surface, explode_row, last_write_times
+
+    T = MAX_STEADY_T + 1
+    calls = [
+        lambda: last_write_times(ALL_STEADY, 8, T),
+        lambda: explode_row(ALL_STEADY, 8, T, 8, "00" * 8),
+        lambda: Surface.from_hex(ALL_STEADY, 8, T, 8, "00" * 8),
+        lambda: Surface.from_hex(ALL_STEADY, 8, T - 1, 8, "00" * 8).ingest(0),
+    ]
+    for call in calls:
+        with pytest.raises(ReplayLimitError, match=f"capped at {MAX_STEADY_T} arrivals"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "algo, window",
+    [(TILTED, (100, 200)), (ALL_STEADY, (2**40, 2**40 + 100))],
+    ids=["tilted", "all-steady-hybrid"],
+)
+def test_benchmark_windows_start_anywhere(algo, window):
+    from streamsieve import run_benchmark
+
+    rows = run_benchmark(algo, [8], [window], 2)
+    assert [(row.t_lo, row.t_hi, row.items, row.replicate) for row in rows] == [
+        (*window, 100, 0),
+        (*window, 100, 1),
+    ]
+    assert all(row.total_ns > 0 for row in rows)
 
 
 # ---------------------------------------------------------------------------

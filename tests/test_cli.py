@@ -125,6 +125,18 @@ class TestExplode:
         )
         assert code == 2
 
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "dumps.csv"
+        write_csv(src, DUMP_HEADER, [["steady", 4, 8, "05010703", "alpha"]])
+        out = tmp_path / "missing" / "out.csv"
+        assert main(["explode", str(src), str(out), "--value-bits", "8"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        # the rejects report is an output too
+        out = tmp_path / "out.csv"
+        (tmp_path / "out.csv.rejects").mkdir()
+        assert main(["explode", str(src), str(out), "--value-bits", "8"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}.rejects: ")
+
     def test_value_bits_is_required_and_validated(self, tmp_path):
         src = tmp_path / "dumps.csv"
         write_csv(src, DUMP_HEADER, [])
@@ -259,6 +271,7 @@ def _explode_cases(rng):
         ("hybrid(steady:32+tilted:032)", 64, 700),  # the same layout, spelled apart
         *(("hybrid(stretched:4+steady:8+tilted:4)", 16, T) for T in (14, 3, 9, 9)),
         ("hybrid(steady:4+steady:4)", 8, REPLAY_CAP),
+        ("hybrid(steady:4+steady:4)", 8, REPLAY_CAP + 1),
         ("steady", 64, 1 << 63),
         ("steady", 4, MAX_STEADY_T),
         ("steady", 256, rng.randrange(1 << 62)),
@@ -279,7 +292,7 @@ def _explode_cases(rng):
         f"tilted,16,-1,{dump(16)},negative T\n",
         f"stretched,4,100,{dump(4)},past capacity\n",
         f"tilted,8,{1 << 40},{dump(8)},past the reload limit\n",
-        f"hybrid(steady:4+steady:4),8,{REPLAY_CAP + 1},{dump(8)},past the reload limit\n",
+        f"hybrid(steady:4+steady:4),8,{MAX_STEADY_T + 1},{dump(8)},past the reload limit\n",
         f"steady,4,{MAX_STEADY_T + 1},{dump(4)},past the reload limit\n",
         # several faults: each row reports the first in the check order
         "x,y,z,w,bad S and T\n",
@@ -410,6 +423,11 @@ class TestValidate:
         assert main(["validate", "--check", str(path)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "v.csv"
+        assert main(["validate", "--generate", str(path), "--max-T", "8"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+
     def test_generate_and_check_are_exclusive(self, tmp_path):
         assert main(["validate"]) == 2
         assert (
@@ -464,7 +482,7 @@ class TestBench:
             ["bench", "--replicates", "0"],
             ["bench", "--depths", "64"],  # no lo:hi separator
             ["bench", "--sizes", "8;16"],
-            ["bench", "--algo", "tilted", "--sizes", "8", "--depths", "1:64"],
+            ["bench", "--algo", "tilted", "--sizes", "32", "--depths", f"1:{REPLAY_CAP + 1}"],
             ["bench", "--algo", "tilted", "--sizes", "8", "--depths", "0:300"],
             ["bench", "--algo", "steady", "--sizes", "6", "--depths", "0:64"],
         ],
@@ -472,6 +490,12 @@ class TestBench:
     def test_usage_errors(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "b.csv"
+        argv = ["bench", "--sizes", "8", "--depths", "0:8", "--replicates", "1", "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
 class TestLookup:

@@ -7,10 +7,12 @@ expected values here are computed straight from their stated definitions.
 import pytest
 
 from streamsieve import (
+    REPLAY_CAP,
     STEADY,
     TILTED,
     ConfigurationError,
     DomainError,
+    ReplayLimitError,
     StreamSieveError,
     check_steady_gap,
     epoch,
@@ -132,7 +134,7 @@ def test_checkers_on_greedy_replays():
         (lambda: run_benchmark(STEADY, [64], [(5, 2)], 1), DomainError),
         (lambda: run_benchmark(STEADY, [64], [(0, 8, 16)], 1), DomainError),
         (lambda: run_benchmark(STEADY, [64], [8], 1), DomainError),
-        (lambda: run_benchmark(TILTED, [8], [(1, 64)], 1), DomainError),
+        (lambda: run_benchmark(TILTED, [32], [(1, REPLAY_CAP + 1)], 1), ReplayLimitError),
         (lambda: run_benchmark(STEADY, [64], [(0, 8)], 0), DomainError),
         (lambda: run_benchmark(STEADY, [], [(0, 8)], 1), ConfigurationError),
         (lambda: run_benchmark(STEADY, [64], [], 1), DomainError),
@@ -141,7 +143,7 @@ def test_checkers_on_greedy_replays():
     ids=[
         "needed-S", "needed-T", "gap-T", "gap-S", "coverage-mode", "coverage-T",
         "density-direction", "density-T", "bench-reversed-window", "bench-triple-window",
-        "bench-int-window", "bench-replay-window-start", "bench-replicates",
+        "bench-int-window", "bench-window-past-replay-cap", "bench-replicates",
         "bench-no-sizes", "bench-no-windows", "bench-S",
     ],
 )

@@ -26,6 +26,7 @@ from streamsieve import (
     stream_capacity,
     unpack_slots_hex,
 )
+from streamsieve.algorithms import _refuse
 
 
 def test_constructor_examples():
@@ -84,13 +85,21 @@ def test_widths_must_be_int(value_bits):
             call()
 
 
+def _refusal(algo, S, count, capacity, bound):
+    # the message _refuse, and so every other entry point, gives
+    with pytest.raises(StreamSieveError) as info:
+        _refuse(algo, S, count, capacity, bound)
+    return str(info.value)
+
+
 def test_capacity_error_leaves_state_alone():
     s = Surface(TILTED, 4, 8)
     for T in range(14):
         s.ingest(T)
     before = (s.T, list(s.slots))
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as info:
         s.ingest(99)
+    assert str(info.value) == _refusal(TILTED, 4, 15, 14, REPLAY_CAP)
     assert (s.T, list(s.slots)) == before
 
 
@@ -120,6 +129,22 @@ def test_hex_examples():
     assert pack_slots_hex([5, 1, 7, 3], 8) == "05010703"
     assert pack_slots_hex([1, 0, 1, 1, 0, 0, 0, 0], 1) == "b0"
     assert pack_slots_hex([0, 0, 0, 0], 32) == "0" * 32
+
+
+@pytest.mark.parametrize(
+    "slots, value_bits, bad",
+    [
+        ([1, 300], 8, "slot 1 holds 300"),
+        ([0, -1], 8, "slot 1 holds -1"),
+        ([1, 0, 2, 5], 1, "slot 2 holds 2"),
+        ([0, 1 << 64], 64, f"slot 1 holds {1 << 64}"),
+    ],
+    ids=["too-wide", "negative", "bit", "u64"],
+)
+def test_pack_refuses_values_that_do_not_fit(slots, value_bits, bad):
+    # '012c' and '-001' before: the value bled into its neighbour, or a sign
+    with pytest.raises(DomainError, match=f"^{bad}, which does not fit in {value_bits} bits$"):
+        pack_slots_hex(slots, value_bits)
 
 
 def test_unpack_examples():
@@ -318,7 +343,7 @@ def test_ingest_stops_at_the_reload_limit():
         (STEADY, 8, MAX_STEADY_T),
         (STRETCHED, 32, REPLAY_CAP),
         (TILTED, 32, REPLAY_CAP),
-        (hybrid(("steady", 4), ("steady", 4)), 8, REPLAY_CAP),
+        (hybrid(("steady", 4), ("steady", 4)), 8, MAX_STEADY_T),
         (hybrid(("steady", 32), ("tilted", 32)), 64, REPLAY_CAP),
     )
     for algo, S, limit in cases:
@@ -334,7 +359,8 @@ def test_ingest_stops_at_the_reload_limit():
         surface.ingest(1)
         assert surface.T == limit
         before = (list(surface.slots), list(surface.written))
-        with pytest.raises(ReplayLimitError):
+        with pytest.raises(ReplayLimitError) as info:
             surface.ingest(2)
+        assert str(info.value) == _refusal(algo, S, limit + 1, selector.capacity, limit)
         assert surface.T == limit, algo
         assert (surface.slots, surface.written) == before, algo
