@@ -43,16 +43,16 @@ once and owns its curators; a reload seeks a fresh one to T.  Only the
 pointwise ``site_selection``/``*_assign`` go through a lock-guarded
 per-(profile, S) replay memo.
 
-How far a layout goes follows from its segments alone.  With a greedy
-segment its capacity is 2**size - 2 for the smallest one, and it is held
-to REPLAY_CAP wherever it is stepped forward; with none (capacity None) it
-is closed form, and reloads at any T up to MAX_STEADY_T.  ``_refuse``
-holds n arrivals to the bound a path applies (ReplayLimitError), then to
-capacity (CapacityError).  Pointwise selection of arrival T (n = T + 1),
-``lookup_replay`` and benchmark windows apply REPLAY_CAP if a segment is
-greedy; ``last_write_times``, ``Surface.from_hex``, ``Surface.ingest`` and
-``explode_row`` apply the selector's reload limit; ``selection_stream``
-applies capacity only.
+How far a layout goes is decided by ``_limits`` alone: with a greedy
+segment, capacity 2**size - 2 for the smallest one and limit REPLAY_CAP,
+as it is stepped forward to T; with none, no capacity and limit
+MAX_STEADY_T, the range of the 64-bit counter other ports keep.  Every
+path that takes a layout to n arrivals (n = T + 1 for pointwise
+selection) refuses through ``_refuse``: the limit (ReplayLimitError),
+then capacity (CapacityError).  Only the replay oracle ``lookup_replay``
+holds every layout to REPLAY_CAP, and the lazy ``selection_stream`` to
+capacity only; the kernels ``steady_assign``, ``epoch`` and
+``hanoi_value`` take any T.
 """
 
 from __future__ import annotations
@@ -190,13 +190,25 @@ def hybrid(*segments: tuple[str, int]) -> Algorithm:
     return Algorithm("hybrid", tuple(segments))
 
 
+def parse_int(text: str) -> int:
+    """An integer in ASCII digits with at most one leading '-', as ports in
+    other languages read CSV cells and hybrid sizes (``int`` also takes
+    '+4', '1_0', ' 4 ' and other scripts' digits); else ValueError."""
+    try:
+        if str.isascii(text) and text.removeprefix("-").isdigit():
+            return int(text)
+    except (TypeError, ValueError):  # not a string; past the digit limit
+        pass
+    raise ValueError(f"expected an integer in ASCII digits, got {_clip(text)}")
+
+
 def parse_algorithm(text: str) -> Algorithm:
     """Parse the canonical token grammar.
 
     Accepts ``steady``, ``stretched``, ``tilted``, or
     ``hybrid(kind:size+kind:size...)``.  The grammar is comma-free so the
-    tokens embed in CSV cells without quoting.  A size is ASCII digits
-    only, since ports in other languages read the same tokens.
+    tokens embed in CSV cells without quoting.  A size is read by
+    ``parse_int``, as the CSV cells around the token are.
     """
     if not isinstance(text, str):
         raise ConfigurationError(f"algorithm token must be a string, got {text!r}")
@@ -206,16 +218,13 @@ def parse_algorithm(text: str) -> Algorithm:
         inner = text[len("hybrid(") : -1]
         segments = []
         for part in inner.split("+"):
-            kind, sep, size_text = part.partition(":")
-            size = None
-            if sep and size_text.isascii() and size_text.isdigit():
-                try:
-                    size = int(size_text)
-                except ValueError:  # past the interpreter's digit limit
-                    pass
-            if size is None:
-                raise ConfigurationError(f"bad hybrid segment {_clip(part)} in {_clip(text)}")
-            segments.append((kind, size))
+            kind, _, size_text = part.partition(":")
+            try:
+                segments.append((kind, parse_int(size_text)))
+            except ValueError:
+                raise ConfigurationError(
+                    f"bad hybrid segment {_clip(part)} in {_clip(text)}"
+                ) from None
         return Algorithm("hybrid", tuple(segments))
     raise ConfigurationError(f"unknown algorithm token {_clip(text)}")
 
@@ -293,11 +302,18 @@ def has_ingest_capacity(algo: Algorithm, S: int, T: int) -> bool:
     return cap is None or T + 1 <= cap
 
 
-def _refuse(algo: Algorithm, S: int, count: int, capacity: int | None, bound: int | None) -> None:
-    # the one check on an arrival count: the bound a path applies, then capacity
-    if bound is not None and count > bound:
+def _limits(algo: Algorithm, S: int) -> tuple[int | None, int]:
+    # (capacity, limit): a greedy segment steps forward to T, so REPLAY_CAP;
+    # an all-steady layout is closed form over the whole 64-bit counter
+    capacity = _capacity(algo, S)
+    return capacity, MAX_STEADY_T if capacity is None else REPLAY_CAP
+
+
+def _refuse(algo: Algorithm, S: int, count: int, capacity: int | None, limit: int | None) -> None:
+    # the one check on an arrival count: the limit, then capacity
+    if limit is not None and count > limit:
         raise ReplayLimitError(
-            f"{algo} with S={S} is capped at {bound} arrivals, asked for {count}"
+            f"{algo} with S={S} is capped at {limit} arrivals, asked for {count}"
         )
     if capacity is not None and count > capacity:
         raise CapacityError(
@@ -588,14 +604,11 @@ def hybrid_assign(algo: Algorithm, S: int, T: int) -> frozenset[int]:
 def site_selection(algo: Algorithm, S: int, T: int) -> frozenset[int]:
     """Uniform set-valued form of every rule (empty set = discard).
 
-    A greedy segment replays from T=0, so a layout with one is held to
-    REPLAY_CAP as well as to its capacity.
+    The T + 1 arrivals up to T are refused past the layout's ``_limits``.
     """
     _validate_algorithm_sites(algo, S)
     _validate_time(T)
-    capacity = _capacity(algo, S)
-    if capacity is not None:
-        _refuse(algo, S, T + 1, capacity, REPLAY_CAP)
+    _refuse(algo, S, T + 1, *_limits(algo, S))
     picked = []
     for kind, size, offset in _segments(algo, S):
         site = _steady_site(size, T) if kind == "steady" else _greedy_selection(kind, size, T)
@@ -609,11 +622,9 @@ class Selector:
 
     Owns one curator per greedy segment (a scalar rule is one segment), so
     it never touches the memo.  step() returns the selection of arrival T
-    and advances T; callers check capacity up front.  ``capacity`` is the
-    layout's supported ingest count (None if unbounded).  ``reload_limit``
-    is the largest T at which a dump of this layout can be reloaded:
-    MAX_STEADY_T, the closed form's range, when every segment is steady,
-    and REPLAY_CAP when a greedy segment must be stepped forward to T.
+    and advances T; callers check capacity up front.  ``capacity`` and
+    ``reload_limit`` are the layout's ``_limits``: its supported ingest
+    count (None if unbounded) and the largest T it goes to.
     """
 
     __slots__ = ("T", "capacity", "reload_limit", "_parts")
@@ -621,8 +632,7 @@ class Selector:
     def __init__(self, algo: Algorithm, S: int):
         _validate_algorithm_sites(algo, S)
         self.T = 0
-        self.capacity = _capacity(algo, S)
-        self.reload_limit = MAX_STEADY_T if self.capacity is None else REPLAY_CAP
+        self.capacity, self.reload_limit = _limits(algo, S)
         self._parts = [
             (offset, size, None if kind == "steady" else _GreedyCurator(size, kind == "tilted"))
             for kind, size, offset in _segments(algo, S)

@@ -4,8 +4,8 @@ Times assignment over half-open ingest windows [t_lo, t_hi), which may
 start anywhere.  Every layout is timed one way: a fresh ``Selector`` per
 replicate seeks to t_lo outside the timed region, then steps each arrival
 of the window.  Steady segments seek for free at any depth; a greedy one
-steps forward to t_lo, so its windows stay within capacity and the replay
-cap.
+steps forward to t_lo.  Every window is held to the layout's limit and
+capacity, as any other path that takes it that far is.
 
 No I/O happens inside a timed region; the clock is perf_counter_ns.
 """
@@ -15,13 +15,7 @@ from __future__ import annotations
 from time import perf_counter_ns
 from typing import NamedTuple
 
-from .algorithms import (
-    REPLAY_CAP,
-    Algorithm,
-    Selector,
-    _refuse,
-    stream_capacity,
-)
+from .algorithms import Algorithm, Selector, _limits, _refuse, _validate_algorithm_sites
 from .errors import ConfigurationError, DomainError
 
 
@@ -39,14 +33,15 @@ class BenchResult(NamedTuple):
 BENCH_FIELDS = ("algo", "S", "T_lo", "T_hi", "items", "total_ns", "ns_per_item", "replicate")
 
 
-def _validate_window(algo: Algorithm, S: int, capacity: int | None, window) -> tuple[int, int]:
+def _validate_window(algo: Algorithm, S: int, window) -> tuple[int, int]:
+    _validate_algorithm_sites(algo, S)
     try:
         t_lo, t_hi = window
     except (TypeError, ValueError):  # not a pair
         t_lo = t_hi = None
     if not (isinstance(t_lo, int) and isinstance(t_hi, int)) or t_lo < 0 or t_hi <= t_lo:
         raise DomainError(f"bad depth window {window!r}")
-    _refuse(algo, S, t_hi, capacity, None if capacity is None else REPLAY_CAP)
+    _refuse(algo, S, t_hi, *_limits(algo, S))
     return t_lo, t_hi
 
 
@@ -72,11 +67,7 @@ def run_benchmark(algo: Algorithm, sizes, windows, replicates: int) -> list[Benc
         raise ConfigurationError("need at least one size")
     if not windows:
         raise DomainError("need at least one depth window")
-    plans = []
-    for S in sizes:
-        capacity = stream_capacity(algo, S)  # validates (algo, S)
-        for window in windows:
-            plans.append((S, *_validate_window(algo, S, capacity, window)))
+    plans = [(S, *_validate_window(algo, S, window)) for S in sizes for window in windows]
     results = []
     token = algo.token()
     for S, t_lo, t_hi in plans:

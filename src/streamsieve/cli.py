@@ -8,7 +8,8 @@ Subcommands:
 * lookup    -- print the site -> ingest-time table for one buffer
 
 Exit codes follow the usual convention: 0 success, 1 data-level failures
-(rejected rows, mismatched vectors, impossible lookups), 2 usage errors.
+(rejected rows, mismatched vectors, refused lookups), 2 usage errors (bad
+flags, tokens or site counts, unreadable inputs, unwritable outputs).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from contextlib import suppress
 from operator import itemgetter
 
-from .algorithms import MAX_SITE_COUNT, parse_algorithm
+from .algorithms import MAX_SITE_COUNT, parse_algorithm, parse_int
 from .benchmark import BENCH_FIELDS, run_benchmark
 from .conformance import (
     DEFAULT_SEED,
@@ -28,7 +29,7 @@ from .conformance import (
     read_vectors_csv,
     write_vectors_csv,
 )
-from .errors import StreamSieveError, VectorFormatError
+from .errors import ConfigurationError, StreamSieveError, VectorFormatError
 from .lookup import TableCache, explode_row, last_write_times
 from .surface import VALID_VALUE_BITS, hex_digest_length
 
@@ -80,10 +81,9 @@ def _cmd_explode(args) -> int:
         # a short row's missing cells read as None and write as empty
         cells += [None] * (width - len(cells))
         if len(cells) == width:
-            with suppress(ValueError, TypeError):
-                tables.note(
-                    cells[algo_at], int(cells[s_at]), int(cells[t_at]), args.value_bits, cells[hex_at]
-                )
+            with suppress(ValueError):
+                S, T = parse_int(cells[s_at]), parse_int(cells[t_at])
+                tables.note(cells[algo_at], S, T, args.value_bits, cells[hex_at])
     rejects: list[tuple[int, str]] = []
     try:
         outfile = open(args.output, "w", newline="")
@@ -97,15 +97,9 @@ def _cmd_explode(args) -> int:
                 rejects.append((ordinal, f"row has {len(cells)} cells but the header has {width}"))
                 continue
             try:
-                triples = explode_row(
-                    cells[algo_at],
-                    int(cells[s_at]),
-                    int(cells[t_at]),
-                    args.value_bits,
-                    cells[hex_at],
-                    tables,
-                )
-            except (ValueError, TypeError) as exc:
+                S, T = parse_int(cells[s_at]), parse_int(cells[t_at])
+                triples = explode_row(cells[algo_at], S, T, args.value_bits, cells[hex_at], tables)
+            except ValueError as exc:
                 rejects.append((ordinal, str(exc)))
                 continue
             # unwritten sites carry None, which csv writes as an empty cell
@@ -219,9 +213,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_lookup(args) -> int:
     try:
-        algo = parse_algorithm(args.algo)
-        entries = last_write_times(algo, args.S, args.T)
-    except (ValueError, TypeError) as exc:
+        entries = last_write_times(parse_algorithm(args.algo), args.S, args.T)
+    except ConfigurationError as exc:
+        return _fail_usage(str(exc))
+    except ValueError as exc:  # refused: the limit, capacity or a bad T
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for site, tbar in enumerate(entries):

@@ -16,6 +16,7 @@ from typing import NamedTuple
 from .algorithms import (
     MIN_SITE_COUNT,
     parse_algorithm,
+    parse_int,
     site_selection,
     stream_capacity,
 )
@@ -136,11 +137,9 @@ def _read_vectors(reader) -> list[TestVector]:
             raise VectorFormatError(f"line {lineno}: expected 4 fields, got {row!r}")
         token, s_text, t_text, sites_text = row
         try:
-            S = int(s_text)
-            T = int(t_text)
-            expected = tuple(
-                int(part) for part in sites_text.split(";") if part != ""
-            )
+            S = parse_int(s_text)
+            T = parse_int(t_text)
+            expected = tuple([parse_int(part) for part in sites_text.split(";") if part])
         except ValueError as exc:
             raise VectorFormatError(f"line {lineno}: {exc}") from None
         vectors.append(TestVector(token, S, T, expected))

@@ -35,8 +35,9 @@ from .algorithms import (
     REPLAY_CAP,
     TILTED,
     Algorithm,
-    Selector,
     _GreedyCurator,
+    _capacity,
+    _limits,
     _refuse,
     _segments,
     _steady_site,
@@ -48,7 +49,7 @@ from .algorithms import (
     validate_site_count,
 )
 from .errors import DomainError
-from .surface import unpack_slots_hex, validate_value_bits
+from .surface import check_dump
 
 
 def lookup_replay(algo: Algorithm, S: int, T: int, at=None) -> list:
@@ -124,16 +125,16 @@ def lookup_steady_fast(S: int, T: int) -> list:
 
 
 def last_write_times(algo: Algorithm, S: int, T: int) -> list:
-    """Lookup table after T ingests, up to the reload limit.
+    """Lookup table after T ingests, up to the layout's limit.
 
     Segments curate independently, so each one's slice of the table comes
     from one route, at the segment's own size: ``lookup_steady_fast`` for
     steady, a skip from write to write for stretched, and ``lookup_replay``
     for tilted.
     """
-    selector = Selector(algo, S)
+    _validate_algorithm_sites(algo, S)
     _validate_time(T)
-    _refuse(algo, S, T, selector.capacity, selector.reload_limit)
+    _refuse(algo, S, T, *_limits(algo, S))
     return _tables_at(algo, S, [T])[0]
 
 
@@ -165,23 +166,6 @@ def _stretched_writers(S: int, Ts: list) -> list[list]:
     return parts
 
 
-def _check_row(algo, S: int, T: int, value_bits: int, text: str):
-    """Check one dump; return its Algorithm, a Selector and its slots.
-
-    The checks run in a fixed order, so a row with several faults always
-    raises the same error: the token, the width, the sites, the hex, T,
-    then the reload limit and capacity.
-    """
-    if isinstance(algo, str):
-        algo = parse_algorithm(algo)
-    validate_value_bits(value_bits)
-    selector = Selector(algo, S)
-    slots = unpack_slots_hex(text, S, value_bits)
-    _validate_time(T)
-    _refuse(algo, S, T, selector.capacity, selector.reload_limit)
-    return algo, selector, slots
-
-
 class TableCache:
     """Lookup tables for a batch of dumps, one forward pass per layout.
 
@@ -201,8 +185,10 @@ class TableCache:
 
     def note(self, algo, S: int, T: int, value_bits: int, text: str) -> None:
         """Note one dump; raise as ``explode_row`` would for a bad one."""
-        algo, selector, _ = _check_row(algo, S, T, value_bits, text)
-        if selector.capacity is not None:  # bounded iff a segment is greedy
+        if isinstance(algo, str):
+            algo = parse_algorithm(algo)
+        check_dump(algo, S, T, value_bits, text)
+        if _capacity(algo, S) is not None:  # bounded iff a segment is greedy
             self._wanted.setdefault((algo, S), Counter())[T] += 1
 
     def take(self, algo: Algorithm, S: int, T: int) -> list | None:
@@ -227,10 +213,13 @@ def explode_row(algo, S: int, T: int, value_bits: int, text: str, tables=None) -
 
     Unwritten sites yield (k, None, None); the zero padding they carry in
     the hex digest is not a value.  ``algo`` may be an Algorithm or its
-    text token.  ``tables``, a ``TableCache`` the row was noted in, hands
-    over its table from the layout's shared pass.
+    text token; the dump is checked as ``Surface.from_hex`` checks it.
+    ``tables``, a ``TableCache`` the row was noted in, hands over its
+    table from the layout's shared pass.
     """
-    algo, _, slots = _check_row(algo, S, T, value_bits, text)
+    if isinstance(algo, str):
+        algo = parse_algorithm(algo)
+    slots = check_dump(algo, S, T, value_bits, text)
     entries = None if tables is None else tables.take(algo, S, T)
     if entries is None:
         entries = _tables_at(algo, S, [T])[0]

@@ -17,7 +17,8 @@ from __future__ import annotations
 import string
 import struct
 
-from .algorithms import Algorithm, Selector, _refuse, _segments, _validate_time, has_ingest_capacity
+from .algorithms import Algorithm, Selector, _limits, _refuse, _segments, _validate_time
+from .algorithms import _validate_algorithm_sites, has_ingest_capacity
 from .errors import ConfigurationError, DomainError, HexFormatError
 
 VALID_VALUE_BITS = (1, 8, 16, 32, 64)
@@ -85,6 +86,18 @@ def unpack_slots_hex(text: str, S: int, value_bits: int) -> list[int]:
     raise HexFormatError(f"expected {digits} hex digits for S={S} width={value_bits}, got {got}")
 
 
+def check_dump(algo: Algorithm, S: int, T: int, value_bits: int, text: str) -> list[int]:
+    """Check one dump and return its slots.  Every path that takes a dump
+    checks it here, so a dump with several faults raises the same error on
+    each: the width, the sites, the hex digest, T, the limit, capacity."""
+    validate_value_bits(value_bits)
+    _validate_algorithm_sites(algo, S)
+    slots = unpack_slots_hex(text, S, value_bits)
+    _validate_time(T)
+    _refuse(algo, S, T, *_limits(algo, S))
+    return slots
+
+
 class Surface:
     """S fixed slots curated by a site-selection algorithm.
 
@@ -148,18 +161,15 @@ class Surface:
     def from_hex(
         cls, algo: Algorithm, S: int, T: int, value_bits: int, text: str
     ) -> "Surface":
-        """Rebuild a surface from a dump.
+        """Rebuild a surface from a dump, checked first by ``check_dump``.
 
-        T is held to the selector's reload limit, and then a fresh selector
-        advances to T: steady segments cost nothing, a stretched curator
-        jumps from write to write and a tilted one replays.
+        A fresh selector advances to T: steady segments cost nothing, a
+        stretched curator jumps from write to write and a tilted one replays.
         """
-        _validate_time(T)
+        slots = check_dump(algo, S, T, value_bits, text)
         surface = cls(algo, S, value_bits)
-        surface.slots = unpack_slots_hex(text, S, value_bits)
-        selector = surface._selector
-        _refuse(algo, S, T, selector.capacity, selector.reload_limit)
-        selector.seek(T)
+        surface.slots = slots
+        surface._selector.seek(T)
         return surface
 
     def __repr__(self) -> str:

@@ -29,7 +29,14 @@ from streamsieve import (
     tilted_assign,
     validate_site_count,
 )
-from streamsieve.algorithms import MAX_STEADY_T, _GreedyCurator
+from streamsieve.algorithms import (
+    MAX_STEADY_T,
+    _capacity,
+    _GreedyCurator,
+    _limits,
+    _refuse,
+    parse_int,
+)
 
 from reference_rules import ScanCurator, greedy_selections, trailing_ones
 
@@ -234,33 +241,56 @@ def test_pointwise_greedy_replay_is_capped():
         (hybrid(("stretched", 4), ("steady", 4)), 8, 2**40, ReplayLimitError),
         (STRETCHED, 4, 14, CapacityError),
         (TILTED, 64, 2**40, ReplayLimitError),
+        (STEADY, 4, MAX_STEADY_T, ReplayLimitError),
+        (hybrid(("steady", 4), ("steady", 4)), 8, MAX_STEADY_T, ReplayLimitError),
     ],
-    ids=["tilted8-deep", "stretched4+steady4-deep", "stretched4-past-capacity", "tilted64-deep"],
+    ids=[
+        "tilted8-deep",
+        "stretched4+steady4-deep",
+        "stretched4-past-capacity",
+        "tilted64-deep",
+        "steady-past-uint64",
+        "steady4+steady4-past-uint64",
+    ],
 )
 def test_every_entry_point_refuses_with_one_class(algo, S, T, error):
-    """Arrival T, or the T + 1 arrivals up to it, is refused alike everywhere.
+    """Arrival T, or the T + 1 arrivals up to it, is refused alike everywhere,
+    with ``_refuse``'s message for the layout's limits.
 
-    Past both bounds ReplayLimitError wins, on every path.
+    Past both bounds ReplayLimitError wins, on every path.  ``lookup_replay``,
+    the replay oracle, holds every layout to REPLAY_CAP instead.
     """
     from streamsieve import Surface, explode_row, last_write_times, lookup_replay, run_benchmark
+
+    def refusal(capacity, limit):
+        with pytest.raises(error) as info:
+            _refuse(algo, S, T + 1, capacity, limit)
+        return str(info.value)
 
     calls = [lambda: site_selection(algo, S, T)]
     if algo.is_hybrid:
         calls.append(lambda: hybrid_assign(algo, S, T))
-    else:
+    elif algo.kind != "steady":  # steady_assign is a kernel: it takes any T
         assign = tilted_assign if algo.kind == "tilted" else stretched_assign
         calls.append(lambda: assign(S, T))
     calls += [
-        lambda: lookup_replay(algo, S, T + 1),
         lambda: last_write_times(algo, S, T + 1),
         lambda: explode_row(algo, S, T + 1, 8, "00" * S),
         lambda: Surface.from_hex(algo, S, T + 1, 8, "00" * S),
         lambda: run_benchmark(algo, [S], [(0, T + 1)], 1),
     ]
-    for call in calls:
+    expected = [refusal(*_limits(algo, S))] * len(calls)
+    calls.append(lambda: lookup_replay(algo, S, T + 1))
+    expected.append(refusal(_capacity(algo, S), REPLAY_CAP))
+    for call, message in zip(calls, expected):
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error
+        assert str(info.value) == message
+    if T == MAX_STEADY_T:  # one arrival less is within the closed form's range
+        site_selection(algo, S, T - 1)
+        [row] = run_benchmark(algo, [S], [(T - 1, T)], 1)
+        assert row.items == 1
 
 
 ALL_STEADY = hybrid(("steady", 4), ("steady", 4))
@@ -363,6 +393,25 @@ def test_algorithm_tokens_round_trip():
     for size in ("\u00b2", "\u0664", "\uff14", "4" * 5000):
         with pytest.raises(ConfigurationError):
             parse_algorithm(f"hybrid(steady:{size}+tilted:4)")
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("4", 4), ("007", 7), ("-1", -1), ("-0", 0)])
+def test_parse_int_reads_ascii_digits(text, value):
+    assert parse_int(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "-", "+4", "--4", "1_0", " 4", "4 ", "4\n", "\u0661\u0662", "\uff14", "\u00b2", "0x10"]
+    + ["4" * 5000, None, 4],
+)
+def test_parse_int_refuses_everything_else(text):
+    # int() reads '+4', '1_0', the padded ones and the Arabic-Indic and
+    # full-width digits; the message stays short for a 5 000-digit cell
+    with pytest.raises(ValueError) as info:
+        parse_int(text)
+    assert str(info.value).startswith("expected an integer in ASCII digits, got ")
+    assert len(str(info.value)) < 120
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from operator import itemgetter
 import pytest
 
 from streamsieve import REPLAY_CAP, explode_row
-from streamsieve.algorithms import MAX_STEADY_T, _GreedyCurator
+from streamsieve.algorithms import MAX_STEADY_T, _GreedyCurator, parse_int
 from streamsieve.benchmark import BENCH_FIELDS
 from streamsieve.cli import main
 
@@ -75,6 +75,23 @@ class TestExplode:
             rejects = list(csv.DictReader(fileobj))
         assert [r["dstream_row"] for r in rejects] == ["1", "2", "3"]
         assert all(r["error"] for r in rejects)
+
+    @pytest.mark.parametrize(
+        "s_cell, t_cell",
+        [("+4", "8"), ("4", "1_0"), (" 4 ", "8"), ("4", "\u0661\u0662"), ("4", "--8"), ("4", "")],
+        ids=["plus", "underscore", "spaces", "arabic-indic", "double-minus", "empty"],
+    )
+    def test_integer_cells_are_ascii_digits(self, tmp_path, capsys, s_cell, t_cell):
+        # int() would read each of these as S=4 or a T of 10 or 12
+        src = tmp_path / "dumps.csv"
+        out = tmp_path / "long.csv"
+        write_csv(src, DUMP_HEADER, [["steady", s_cell, t_cell, "05010703", "x"]])
+        assert main(["explode", str(src), str(out), "--value-bits", "8"]) == 1
+        assert "1 of 1 rows rejected" in capsys.readouterr().err
+        with open(str(out) + ".rejects", newline="") as fileobj:
+            [reject] = list(csv.DictReader(fileobj))
+        bad = t_cell if s_cell == "4" else s_cell
+        assert reject["error"] == f"expected an integer in ASCII digits, got {bad!r}"
 
     def test_empty_table_is_fine(self, tmp_path):
         src = tmp_path / "dumps.csv"
@@ -331,9 +348,10 @@ def _explode_per_row(src, out, value_bits):
             cells += [None] * (width - len(cells))
             try:
                 triples = explode_row(
-                    cells[algo_at], int(cells[s_at]), int(cells[t_at]), value_bits, cells[hex_at]
+                    cells[algo_at], parse_int(cells[s_at]), parse_int(cells[t_at]), value_bits,
+                    cells[hex_at],
                 )
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 rejects.append((ordinal, str(exc)))
                 continue
             writer.writerows(pick((*cells, ordinal) + triple) for triple in triples)
@@ -400,6 +418,25 @@ class TestValidate:
         assert "checked 1 vectors: 1 mismatches" in err
         # a bad token is named by a bounded prefix, once
         assert all(len(line) < 200 for line in err.splitlines())
+
+    @pytest.mark.parametrize(
+        "row, bad",
+        [
+            ("steady,+4,5,0", "+4"),
+            ("steady,4,1_0,0", "1_0"),
+            ("steady, 4 ,5,0", " 4 "),
+            ("steady,4,\u0661\u0662,0", "\u0661\u0662"),
+            ("steady,4,5,+0", "+0"),
+            ("steady,4,5,0; 1", " 1"),
+        ],
+        ids=["plus-S", "underscore-T", "spaces-S", "arabic-indic-T", "plus-site", "space-site"],
+    )
+    def test_integer_cells_are_ascii_digits(self, tmp_path, capsys, row, bad):
+        path = tmp_path / "vectors.csv"
+        path.write_text(f"algo,S,T,expected_sites\n{row}\n", encoding="utf-8")
+        assert main(["validate", "--check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line 2: expected an integer in ASCII digits, got {bad!r}\n"
 
     def test_default_algos_generate_and_pass(self, tmp_path):
         path = tmp_path / "vectors.csv"
@@ -525,6 +562,27 @@ class TestLookup:
         code = main(["lookup", "--algo", "stretched", "--S", "4", "--T", "100"])
         assert code == 1
         assert "supports at most 14" in capsys.readouterr().err
+
+    def test_negative_T_is_a_refusal(self, capsys):
+        assert main(["lookup", "--algo", "steady", "--S", "4", "--T", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ingest counter must be")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--algo", "bogus", "--S", "4", "--T", "8"], "unknown algorithm token 'bogus'"),
+            (["--algo", "steady", "--S", "6", "--T", "8"], "site count must be a power of two"),
+            (
+                ["--algo", "hybrid(steady:4+tilted:4)", "--S", "16", "--T", "8"],
+                "hybrid segments cover 8 sites but S=16",
+            ),
+        ],
+        ids=["bad-token", "bad-S", "sites-mismatch"],
+    )
+    def test_configuration_errors_are_usage_errors(self, argv, message, capsys):
+        # as bench reports the same token and S
+        assert main(["lookup", *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_no_arguments_is_usage_error(capsys):

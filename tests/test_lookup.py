@@ -11,7 +11,9 @@ from streamsieve import (
     STRETCHED,
     TILTED,
     CapacityError,
+    ConfigurationError,
     DomainError,
+    HexFormatError,
     ReplayLimitError,
     StreamSieveError,
     TableCache,
@@ -260,6 +262,50 @@ def test_table_cache_note_raises_as_explode_row_does():
             explode_row(*args)
         assert (type(noted.value), str(noted.value)) == (type(exploded.value), str(exploded.value))
     assert not cache._wanted
+
+
+@pytest.mark.parametrize(
+    "algo, S, T, value_bits, text, error, fault",
+    [
+        (STEADY, 3, -1, 8, "zz", ConfigurationError, "site count"),
+        (STEADY, 4, -1, 7, "00" * 4, ConfigurationError, "item width"),
+        (STEADY, 6, "x", 7, "zz", ConfigurationError, "item width"),
+        (STEADY, 4, "x", 8, "zz", HexFormatError, "expected 8 hex digits"),
+        (hybrid(("steady", 4), ("tilted", 4)), 16, -1, 8, "zz", ConfigurationError, "cover 8"),
+        (TILTED, 8, 2**40, 8, "zz" * 8, HexFormatError, "non-hex 'z'"),
+        (TILTED, 8, -1, 8, "00" * 8, DomainError, "ingest counter"),
+        (STEADY, 4, True, 8, "00" * 4, DomainError, "ingest counter"),
+        (STRETCHED, 4, 2**40, 8, "00" * 4, ReplayLimitError, f"capped at {REPLAY_CAP}"),
+        (STRETCHED, 4, 100, 8, "00" * 4, CapacityError, "at most 14"),
+        (hybrid(("steady", 4), ("steady", 4)), 8, MAX_STEADY_T + 1, 8, "00" * 8, ReplayLimitError,
+         f"capped at {MAX_STEADY_T}"),
+    ],
+    ids=[
+        "sites-T-hex",
+        "width-T",
+        "width-sites-T-hex",
+        "hex-T",
+        "layout-T-hex",
+        "hex-past-limit",
+        "negative-T",
+        "bool-T",
+        "limit-and-capacity",
+        "capacity",
+        "all-steady-past-uint64",
+    ],
+)
+def test_every_dump_path_reports_the_same_fault(algo, S, T, value_bits, text, error, fault):
+    """A dump with several faults is checked in one order wherever it is
+    taken: the width, the sites, the hex, T, the limit, then capacity."""
+    from streamsieve import Surface
+
+    raised = []
+    for call in (Surface.from_hex, explode_row, TableCache().note):
+        with pytest.raises(StreamSieveError) as info:
+            call(algo, S, T, value_bits, text)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0][0] is error and fault in raised[0][1]
+    assert raised[1:] == raised[:1] * 2
 
 
 # ---------------------------------------------------------------------------
