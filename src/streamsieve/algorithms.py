@@ -43,11 +43,12 @@ once and owns its curators; a reload seeks a fresh one to T.  Only the
 pointwise ``site_selection``/``*_assign`` go through a lock-guarded
 per-(profile, S) replay memo.
 
-How far a layout goes is decided by ``_limits`` alone: with a greedy
-segment, capacity 2**size - 2 for the smallest one and limit REPLAY_CAP,
-as it is stepped forward to T; with none, no capacity and limit
-MAX_STEADY_T, the range of the 64-bit counter other ports keep.  Every
-path that takes a layout to n arrivals (n = T + 1 for pointwise
+``_layout(algo, S)`` alone validates (algo, S) and decides how far it
+goes: with a greedy segment, capacity 2**size - 2 for the smallest one
+and limit REPLAY_CAP, as it is stepped forward to T; with none, no
+capacity and limit MAX_STEADY_T, the range of the 64-bit counter other
+ports keep.  A hybrid is resolved once, as its ``Algorithm`` is built.
+Every path that takes a layout to n arrivals (n = T + 1 for pointwise
 selection) refuses through ``_refuse``: the limit (ReplayLimitError),
 then capacity (CapacityError).  Only the replay oracle ``lookup_replay``
 holds every layout to REPLAY_CAP, and the lazy ``selection_stream`` to
@@ -116,11 +117,15 @@ class Algorithm:
     Scalar rules carry just a kind.  Hybrid layouts carry (kind, size)
     segments laid out left to right; segment sizes must be powers of two
     >= 4 and there must be at least two segments.  Nested hybrids are not
-    representable on purpose.
+    representable on purpose.  ``total_sites`` is a hybrid's segment sum
+    and None for a scalar rule.
     """
 
     kind: str
     segments: tuple[tuple[str, int], ...] = ()
+    # not fields: a hybrid sets both once, in __post_init__
+    total_sites = None
+    _resolved = None
 
     def __post_init__(self):
         if self.kind in SCALAR_KINDS:
@@ -146,28 +151,25 @@ class Algorithm:
                     f"hybrid segments cover {total} sites; the total must be "
                     f"a power of two <= 2**20"
                 )
+            object.__setattr__(self, "total_sites", total)
+            object.__setattr__(self, "_resolved", _layout(self, total))
         else:
             raise ConfigurationError(f"unknown algorithm kind {_clip(self.kind)}")
+
+    def __getstate__(self):
+        # pickle the fields alone; loading builds the object again
+        return {"kind": self.kind, "segments": self.segments}
+
+    def __setstate__(self, state):
+        self.__init__(**state)
 
     @property
     def is_hybrid(self) -> bool:
         return self.kind == "hybrid"
 
-    @property
-    def total_sites(self) -> int | None:
-        """Sum of segment sizes for hybrids; None for scalar rules."""
-        if not self.is_hybrid:
-            return None
-        return sum(size for _, size in self.segments)
-
     def segment_layout(self) -> tuple[tuple[str, int, int], ...]:
         """(kind, size, offset) triples, offsets cumulative left to right."""
-        out = []
-        offset = 0
-        for sub_kind, sub_size in self.segments:
-            out.append((sub_kind, sub_size, offset))
-            offset += sub_size
-        return tuple(out)
+        return () if self._resolved is None else self._resolved[0]
 
     def token(self) -> str:
         """Canonical text form, e.g. ``hybrid(steady:4+tilted:4)``."""
@@ -229,21 +231,6 @@ def parse_algorithm(text: str) -> Algorithm:
     raise ConfigurationError(f"unknown algorithm token {_clip(text)}")
 
 
-def _validate_algorithm_sites(algo: Algorithm, S: int) -> None:
-    if not isinstance(algo, Algorithm):
-        raise ConfigurationError(f"expected an Algorithm, got {algo!r}")
-    validate_site_count(S)
-    if algo.segments and algo.total_sites != S:
-        raise ConfigurationError(
-            f"hybrid segments cover {algo.total_sites} sites but S={S}"
-        )
-
-
-def _segments(algo: Algorithm, S: int) -> tuple[tuple[str, int, int], ...]:
-    # a scalar rule is one segment covering all S sites
-    return algo.segment_layout() if algo.segments else ((algo.kind, S, 0),)
-
-
 # ---------------------------------------------------------------------------
 # bit kernels
 
@@ -271,17 +258,38 @@ def epoch(S: int, T: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# capacity
+# layout, capacity and limit
 
 
-def _capacity(algo: Algorithm, S: int) -> int | None:
-    # ingests a layout supports: 2**size - 2 for its smallest greedy
-    # segment, None if all are steady
+def _layout(algo: Algorithm, S: int) -> tuple[tuple[tuple[str, int, int], ...], int | None, int]:
+    """Validate (algo, S) and resolve it: (kind, size, offset) segments,
+    capacity (None if unbounded) and limit, the most arrivals it goes to.
+
+    A scalar rule is one segment covering all S sites.  A hybrid is
+    resolved here once, as ``Algorithm`` builds it, and then handed back.
+    """
+    if not isinstance(algo, Algorithm):
+        raise ConfigurationError(f"expected an Algorithm, got {algo!r}")
+    validate_site_count(S)
+    if algo._resolved is not None:
+        if algo.total_sites != S:
+            raise ConfigurationError(
+                f"hybrid segments cover {algo.total_sites} sites but S={S}"
+            )
+        return algo._resolved
+    segments = []
+    offset = 0
     smallest = None
-    for kind, size, _ in _segments(algo, S):
+    for kind, size in algo.segments or ((algo.kind, S),):
+        segments.append((kind, size, offset))
+        offset += size
         if kind != "steady" and (smallest is None or size < smallest):
             smallest = size
-    return None if smallest is None else (1 << smallest) - 2
+    # a greedy segment supports 2**size - 2 ingests and is stepped forward
+    # to T; an all-steady layout is closed form over the 64-bit counter
+    if smallest is None:
+        return tuple(segments), None, MAX_STEADY_T
+    return tuple(segments), (1 << smallest) - 2, REPLAY_CAP
 
 
 def stream_capacity(algo: Algorithm, S: int) -> int | None:
@@ -290,23 +298,14 @@ def stream_capacity(algo: Algorithm, S: int) -> int | None:
     Steady is unbounded.  Stretched and tilted are defined up to 2**S - 2
     items; a hybrid is bounded by its tightest segment.
     """
-    _validate_algorithm_sites(algo, S)
-    return _capacity(algo, S)
+    return _layout(algo, S)[1]
 
 
 def has_ingest_capacity(algo: Algorithm, S: int, T: int) -> bool:
     """True when ingesting item T is within the rule's supported range."""
-    _validate_algorithm_sites(algo, S)
+    capacity = _layout(algo, S)[1]
     _validate_time(T)
-    cap = stream_capacity(algo, S)
-    return cap is None or T + 1 <= cap
-
-
-def _limits(algo: Algorithm, S: int) -> tuple[int | None, int]:
-    # (capacity, limit): a greedy segment steps forward to T, so REPLAY_CAP;
-    # an all-steady layout is closed form over the whole 64-bit counter
-    capacity = _capacity(algo, S)
-    return capacity, MAX_STEADY_T if capacity is None else REPLAY_CAP
+    return capacity is None or T + 1 <= capacity
 
 
 def _refuse(algo: Algorithm, S: int, count: int, capacity: int | None, limit: int | None) -> None:
@@ -595,7 +594,7 @@ def hybrid_assign(algo: Algorithm, S: int, T: int) -> frozenset[int]:
     Every segment sees the full stream; an arrival may be stored by several
     segments at once, each inside its own slice of sites.
     """
-    _validate_algorithm_sites(algo, S)
+    _layout(algo, S)
     if not algo.is_hybrid:
         raise ConfigurationError(f"hybrid_assign needs a hybrid layout, got {algo}")
     return site_selection(algo, S, T)
@@ -604,13 +603,13 @@ def hybrid_assign(algo: Algorithm, S: int, T: int) -> frozenset[int]:
 def site_selection(algo: Algorithm, S: int, T: int) -> frozenset[int]:
     """Uniform set-valued form of every rule (empty set = discard).
 
-    The T + 1 arrivals up to T are refused past the layout's ``_limits``.
+    The T + 1 arrivals up to T are refused past ``_layout``'s bounds.
     """
-    _validate_algorithm_sites(algo, S)
+    segments, capacity, limit = _layout(algo, S)
     _validate_time(T)
-    _refuse(algo, S, T + 1, *_limits(algo, S))
+    _refuse(algo, S, T + 1, capacity, limit)
     picked = []
-    for kind, size, offset in _segments(algo, S):
+    for kind, size, offset in segments:
         site = _steady_site(size, T) if kind == "steady" else _greedy_selection(kind, size, T)
         if site is not None:
             picked.append(offset + site)
@@ -623,19 +622,18 @@ class Selector:
     Owns one curator per greedy segment (a scalar rule is one segment), so
     it never touches the memo.  step() returns the selection of arrival T
     and advances T; callers check capacity up front.  ``capacity`` and
-    ``reload_limit`` are the layout's ``_limits``: its supported ingest
-    count (None if unbounded) and the largest T it goes to.
+    ``reload_limit`` are ``_layout``'s: the supported ingest count (None
+    if unbounded) and the largest T the layout goes to.
     """
 
     __slots__ = ("T", "capacity", "reload_limit", "_parts")
 
     def __init__(self, algo: Algorithm, S: int):
-        _validate_algorithm_sites(algo, S)
+        segments, self.capacity, self.reload_limit = _layout(algo, S)
         self.T = 0
-        self.capacity, self.reload_limit = _limits(algo, S)
         self._parts = [
             (offset, size, None if kind == "steady" else _GreedyCurator(size, kind == "tilted"))
-            for kind, size, offset in _segments(algo, S)
+            for kind, size, offset in segments
         ]
 
     def step(self) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from time import perf_counter_ns
 from typing import NamedTuple
 
-from .algorithms import Algorithm, Selector, _limits, _refuse, _validate_algorithm_sites
+from .algorithms import Algorithm, Selector, _layout, _refuse
 from .errors import ConfigurationError, DomainError
 
 
@@ -34,14 +34,14 @@ BENCH_FIELDS = ("algo", "S", "T_lo", "T_hi", "items", "total_ns", "ns_per_item",
 
 
 def _validate_window(algo: Algorithm, S: int, window) -> tuple[int, int]:
-    _validate_algorithm_sites(algo, S)
+    _, capacity, limit = _layout(algo, S)
     try:
         t_lo, t_hi = window
     except (TypeError, ValueError):  # not a pair
         t_lo = t_hi = None
     if not (isinstance(t_lo, int) and isinstance(t_hi, int)) or t_lo < 0 or t_hi <= t_lo:
         raise DomainError(f"bad depth window {window!r}")
-    _refuse(algo, S, t_hi, *_limits(algo, S))
+    _refuse(algo, S, t_hi, capacity, limit)
     return t_lo, t_hi
 
 

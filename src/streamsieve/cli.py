@@ -158,7 +158,7 @@ def _cmd_validate(args) -> int:
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        return [parse_int(part) for part in text.split(",") if part]
     except ValueError:
         raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
 
@@ -171,7 +171,7 @@ def _parse_windows(text: str) -> list[tuple[int, int]]:
         lo_text, sep, hi_text = part.partition(":")
         if not sep:
             raise ValueError(f"--depths expects lo:hi windows, got {part!r}")
-        windows.append((int(lo_text), int(hi_text)))
+        windows.append((parse_int(lo_text), parse_int(hi_text)))
     return windows
 
 

@@ -31,22 +31,19 @@ from array import array
 from collections import Counter
 
 from .algorithms import (
-    MAX_STEADY_T,
+    MAX_STEADY_T,  # noqa: F401  (still importable from here)
     REPLAY_CAP,
+    STEADY,
     TILTED,
     Algorithm,
     _GreedyCurator,
-    _capacity,
-    _limits,
+    _layout,
     _refuse,
-    _segments,
     _steady_site,
-    _validate_algorithm_sites,
     _validate_time,
     epoch,
     parse_algorithm,
     selection_stream,
-    validate_site_count,
 )
 from .errors import DomainError
 from .surface import check_dump
@@ -62,7 +59,7 @@ def lookup_replay(algo: Algorithm, S: int, T: int, at=None) -> list:
     practicality cap and CapacityError when T exceeds the algorithm's
     supported length.
     """
-    _validate_algorithm_sites(algo, S)
+    _layout(algo, S)
     _validate_time(T)
     _refuse(algo, S, T, None, REPLAY_CAP)
     stops = [T] if at is None else list(at)
@@ -94,7 +91,8 @@ def lookup_steady_fast(S: int, T: int) -> list:
     T <= S * 2**t.  They are resolved with ``_steady_site`` in ascending
     order, discards skipped.  Each site's last writer is a candidate and
     nothing later writes that site, so the last write wins.  Each
-    resolution walks down at most t epochs.
+    resolution walks down at most t epochs.  T past the steady limit,
+    2**64 - 1, raises ReplayLimitError, as on every other path.
 
     Why retained implies hanoi >= t - 1.  Epoch u >= 1 spans arrivals
     [S * 2**(u-1), S * 2**u) and stores exactly those with 2**u | T'+1,
@@ -109,11 +107,9 @@ def lookup_steady_fast(S: int, T: int) -> list:
     leaves A_{u+1}.  So while epoch t runs, the buffer holds only items
     of A_t and arrivals of epoch t, all with hanoi >= t - 1.
     """
-    validate_site_count(S)
-    if not isinstance(T, int) or isinstance(T, bool) or T < 0 or T > MAX_STEADY_T:
-        raise DomainError(
-            f"ingest counter must be an integer in [0, 2**64 - 1], got {T!r}"
-        )
+    _, capacity, limit = _layout(STEADY, S)
+    _validate_time(T)
+    _refuse(STEADY, S, T, capacity, limit)
     entries: list = [None] * S
     if T:
         step = 1 << max(epoch(S, T - 1) - 1, 0)
@@ -132,9 +128,9 @@ def last_write_times(algo: Algorithm, S: int, T: int) -> list:
     steady, a skip from write to write for stretched, and ``lookup_replay``
     for tilted.
     """
-    _validate_algorithm_sites(algo, S)
+    _, capacity, limit = _layout(algo, S)
     _validate_time(T)
-    _refuse(algo, S, T, *_limits(algo, S))
+    _refuse(algo, S, T, capacity, limit)
     return _tables_at(algo, S, [T])[0]
 
 
@@ -142,7 +138,7 @@ def _tables_at(algo: Algorithm, S: int, Ts: list) -> list[list]:
     # the table at each of the ascending, refused Ts; each greedy segment
     # runs one forward pass to the last of them
     tables: list = [[] for _ in Ts]
-    for kind, size, _ in _segments(algo, S):
+    for kind, size, _ in _layout(algo, S)[0]:
         if kind == "steady":
             parts = [lookup_steady_fast(size, T) for T in Ts]
         elif kind == "stretched":
@@ -188,7 +184,7 @@ class TableCache:
         if isinstance(algo, str):
             algo = parse_algorithm(algo)
         check_dump(algo, S, T, value_bits, text)
-        if _capacity(algo, S) is not None:  # bounded iff a segment is greedy
+        if _layout(algo, S)[1] is not None:  # bounded iff a segment is greedy
             self._wanted.setdefault((algo, S), Counter())[T] += 1
 
     def take(self, algo: Algorithm, S: int, T: int) -> list | None:

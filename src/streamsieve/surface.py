@@ -17,8 +17,7 @@ from __future__ import annotations
 import string
 import struct
 
-from .algorithms import Algorithm, Selector, _limits, _refuse, _segments, _validate_time
-from .algorithms import _validate_algorithm_sites, has_ingest_capacity
+from .algorithms import Algorithm, Selector, _layout, _refuse, _validate_time, has_ingest_capacity
 from .errors import ConfigurationError, DomainError, HexFormatError
 
 VALID_VALUE_BITS = (1, 8, 16, 32, 64)
@@ -91,10 +90,10 @@ def check_dump(algo: Algorithm, S: int, T: int, value_bits: int, text: str) -> l
     checks it here, so a dump with several faults raises the same error on
     each: the width, the sites, the hex digest, T, the limit, capacity."""
     validate_value_bits(value_bits)
-    _validate_algorithm_sites(algo, S)
+    _, capacity, limit = _layout(algo, S)
     slots = unpack_slots_hex(text, S, value_bits)
     _validate_time(T)
-    _refuse(algo, S, T, *_limits(algo, S))
+    _refuse(algo, S, T, capacity, limit)
     return slots
 
 
@@ -108,8 +107,9 @@ class Surface:
     __slots__ = ("algo", "S", "value_bits", "slots", "_selector")
 
     def __init__(self, algo: Algorithm, S: int, value_bits: int):
-        self._selector = Selector(algo, S)
+        # the width first, then the sites, as check_dump checks a dump
         validate_value_bits(value_bits)
+        self._selector = Selector(algo, S)
         self.algo = algo
         self.S = S
         self.value_bits = value_bits
@@ -127,7 +127,7 @@ class Surface:
         the segment's size, so site k of a segment is written once T > k.
         """
         T = self.T
-        return [k < T for _, size, _ in _segments(self.algo, self.S) for k in range(size)]
+        return [k < T for _, size, _ in self._selector._parts for k in range(size)]
 
     def ingest(self, value: int) -> frozenset[int]:
         """Store one arriving value; returns the selected sites.

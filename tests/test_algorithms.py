@@ -31,9 +31,8 @@ from streamsieve import (
 )
 from streamsieve.algorithms import (
     MAX_STEADY_T,
-    _capacity,
     _GreedyCurator,
-    _limits,
+    _layout,
     _refuse,
     parse_int,
 )
@@ -255,12 +254,19 @@ def test_pointwise_greedy_replay_is_capped():
 )
 def test_every_entry_point_refuses_with_one_class(algo, S, T, error):
     """Arrival T, or the T + 1 arrivals up to it, is refused alike everywhere,
-    with ``_refuse``'s message for the layout's limits.
+    with ``_refuse``'s message for the capacity and limit ``_layout`` gives.
 
     Past both bounds ReplayLimitError wins, on every path.  ``lookup_replay``,
     the replay oracle, holds every layout to REPLAY_CAP instead.
     """
-    from streamsieve import Surface, explode_row, last_write_times, lookup_replay, run_benchmark
+    from streamsieve import (
+        Surface,
+        explode_row,
+        last_write_times,
+        lookup_replay,
+        lookup_steady_fast,
+        run_benchmark,
+    )
 
     def refusal(capacity, limit):
         with pytest.raises(error) as info:
@@ -279,9 +285,12 @@ def test_every_entry_point_refuses_with_one_class(algo, S, T, error):
         lambda: Surface.from_hex(algo, S, T + 1, 8, "00" * S),
         lambda: run_benchmark(algo, [S], [(0, T + 1)], 1),
     ]
-    expected = [refusal(*_limits(algo, S))] * len(calls)
+    if algo == STEADY:
+        calls.append(lambda: lookup_steady_fast(S, T + 1))
+    _, capacity, limit = _layout(algo, S)
+    expected = [refusal(capacity, limit)] * len(calls)
     calls.append(lambda: lookup_replay(algo, S, T + 1))
-    expected.append(refusal(_capacity(algo, S), REPLAY_CAP))
+    expected.append(refusal(capacity, REPLAY_CAP))
     for call, message in zip(calls, expected):
         with pytest.raises(error) as info:
             call()
@@ -376,6 +385,29 @@ def test_hybrid_validation():
         hybrid(("steady", 4), ("tilted", 8))  # sum 12 is not a legal S
     with pytest.raises(ConfigurationError):
         hybrid_assign(hybrid(("steady", 4), ("tilted", 4)), 16, 0)  # sum != S
+
+
+def test_a_hybrid_is_its_two_fields():
+    """The layout a hybrid resolves once is no part of its identity: ==,
+    hash, repr and pickle see ``kind`` and ``segments`` alone."""
+    import copy
+    import pickle
+
+    h = hybrid(("stretched", 4), ("steady", 8), ("tilted", 4))
+    parsed = parse_algorithm("hybrid(stretched:4+steady:8+tilted:4)")
+    assert parsed == h and parsed is not h
+    assert hash(parsed) == hash(h) == hash(("hybrid", h.segments))
+    assert repr(h) == (
+        "Algorithm(kind='hybrid', segments=(('stretched', 4), ('steady', 8), ('tilted', 4)))"
+    )
+    assert h.__reduce_ex__(4)[1:3] == ((Algorithm,), {"kind": "hybrid", "segments": h.segments})
+    layout = (("stretched", 4, 0), ("steady", 8, 4), ("tilted", 4, 12))
+    for algo in (h, pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
+        assert algo == h
+        assert algo.segment_layout() == layout and algo.total_sites == 16
+        assert _layout(algo, 16) == (layout, 14, REPLAY_CAP)
+    assert STEADY.segment_layout() == () and STEADY.total_sites is None
+    assert _layout(STEADY, 8) == ((("steady", 8, 0),), None, MAX_STEADY_T)
 
 
 def test_algorithm_tokens_round_trip():

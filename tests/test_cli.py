@@ -522,6 +522,9 @@ class TestBench:
             ["bench", "--algo", "tilted", "--sizes", "32", "--depths", f"1:{REPLAY_CAP + 1}"],
             ["bench", "--algo", "tilted", "--sizes", "8", "--depths", "0:300"],
             ["bench", "--algo", "steady", "--sizes", "6", "--depths", "0:64"],
+            # sizes and depths are read as CSV cells are, by parse_int
+            ["bench", "--sizes", "+8,1_6", "--depths", "0:8"],
+            ["bench", "--sizes", "8", "--depths", " 0:8"],
         ],
     )
     def test_usage_errors(self, argv, capsys):

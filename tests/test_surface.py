@@ -364,3 +364,14 @@ def test_ingest_stops_at_the_reload_limit():
         assert str(info.value) == _refusal(algo, S, limit + 1, selector.capacity, limit)
         assert surface.T == limit, algo
         assert (surface.slots, surface.written) == before, algo
+
+
+def test_width_is_checked_before_the_sites():
+    """A surface checks its arguments in the order ``check_dump`` does."""
+    calls = (
+        lambda: Surface(STEADY, 6, 7),
+        lambda: Surface.from_hex(STEADY, 6, 0, 7, "00"),
+    )
+    for call in calls:
+        with pytest.raises(ConfigurationError, match="item width"):
+            call()
