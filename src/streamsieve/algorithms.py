@@ -114,9 +114,9 @@ def _clip(value) -> str:
 class Algorithm:
     """Identifier for a site-selection rule.
 
-    Scalar rules carry just a kind.  Hybrid layouts carry (kind, size)
-    segments laid out left to right; segment sizes must be powers of two
-    >= 4 and there must be at least two segments.  Nested hybrids are not
+    Scalar rules carry just a kind.  Hybrid layouts carry a tuple of
+    (kind, size) tuple segments laid out left to right; segment sizes must
+    be powers of two >= 4 and there must be at least two segments.  Nested hybrids are not
     representable on purpose.  ``total_sites`` is a hybrid's segment sum
     and None for a scalar rule.
     """
@@ -128,6 +128,11 @@ class Algorithm:
     _resolved = None
 
     def __post_init__(self):
+        # a list would compare unequal to the parsed layout and not hash
+        if not isinstance(self.segments, tuple):
+            raise ConfigurationError(
+                f"segments must be a tuple, got {type(self.segments).__name__}"
+            )
         if self.kind in SCALAR_KINDS:
             if self.segments:
                 raise ConfigurationError(f"{self.kind} takes no segments")

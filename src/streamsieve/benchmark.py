@@ -15,7 +15,7 @@ from __future__ import annotations
 from time import perf_counter_ns
 from typing import NamedTuple
 
-from .algorithms import Algorithm, Selector, _layout, _refuse
+from .algorithms import Algorithm, Selector, _clip, _layout, _refuse
 from .errors import ConfigurationError, DomainError
 
 
@@ -39,7 +39,7 @@ def _validate_window(algo: Algorithm, S: int, window) -> tuple[int, int]:
         t_lo, t_hi = window
     except (TypeError, ValueError):  # not a pair
         t_lo = t_hi = None
-    if not (isinstance(t_lo, int) and isinstance(t_hi, int)) or t_lo < 0 or t_hi <= t_lo:
+    if not (type(t_lo) is int and type(t_hi) is int) or t_lo < 0 or t_hi <= t_lo:
         raise DomainError(f"bad depth window {window!r}")
     _refuse(algo, S, t_hi, capacity, limit)
     return t_lo, t_hi
@@ -59,12 +59,14 @@ def _time_window(algo: Algorithm, S: int, t_lo: int, t_hi: int) -> int:
 def run_benchmark(algo: Algorithm, sizes, windows, replicates: int) -> list[BenchResult]:
     """Time selection across sizes x windows x replicates.
 
-    Returns one row per (S, window, replicate), in that nesting order.
+    ``sizes`` is a list or tuple of site counts and ``windows`` a sequence
+    of (t_lo, t_hi) int pairs.  Returns one row per (S, window, replicate),
+    in that nesting order.
     """
-    if not isinstance(replicates, int) or replicates < 1:
+    if type(replicates) is not int or replicates < 1:
         raise DomainError(f"replicates must be a positive integer, got {replicates!r}")
-    if not sizes:
-        raise ConfigurationError("need at least one size")
+    if not isinstance(sizes, (list, tuple)) or not sizes:
+        raise ConfigurationError(f"need a list or tuple of at least one size, got {_clip(sizes)}")
     if not windows:
         raise DomainError("need at least one depth window")
     plans = [(S, *_validate_window(algo, S, window)) for S in sizes for window in windows]

@@ -9,7 +9,9 @@ Subcommands:
 
 Exit codes follow the usual convention: 0 success, 1 data-level failures
 (rejected rows, mismatched vectors, refused lookups), 2 usage errors (bad
-flags, tokens or site counts, unreadable inputs, unwritable outputs).
+flags, tokens or site counts, unreadable inputs, unwritable outputs).  A
+subcommand raises a usage error, and ``main`` alone prints it and exits 2;
+every file is opened by ``_open``, which turns an ``OSError`` into one.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from operator import itemgetter
 
 from .algorithms import MAX_SITE_COUNT, parse_algorithm, parse_int
@@ -39,30 +41,33 @@ RECORD_COLUMNS = ("dstream_site", "dstream_Tbar", "dstream_value")
 USAGE_ERROR = 2
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return USAGE_ERROR
+class _UsageError(Exception):
+    """Bad flags or input for a subcommand; ``main`` prints it and exits 2."""
+
+
+def _open(path: str, mode: str = "r"):
+    """Open a CSV file; an OSError is a usage error naming the path."""
+    try:
+        return open(path, mode, newline="")
+    except OSError as exc:
+        raise _UsageError(f"cannot {'write' if 'w' in mode else 'read'} {path}: {exc}")
 
 
 def _cmd_explode(args) -> int:
-    try:
-        infile = open(args.input, newline="")
-    except OSError as exc:
-        return _fail_usage(f"cannot read {args.input}: {exc}")
     # the longest legal dump reads as a cell (a wrong one is a row reject)
     field_limit = csv.field_size_limit(hex_digest_length(MAX_SITE_COUNT, max(VALID_VALUE_BITS)))
     try:
-        with infile:
+        with _open(args.input) as infile:
             reader = csv.reader(infile)
             fields = next(reader, None)
             if fields is None:
-                return _fail_usage(f"{args.input} has no header row")
+                raise _UsageError(f"{args.input} has no header row")
             missing = [c for c in REQUIRED_INPUT_COLUMNS if c not in fields]
             if missing:
-                return _fail_usage(f"{args.input} is missing columns: {', '.join(missing)}")
+                raise _UsageError(f"{args.input} is missing columns: {', '.join(missing)}")
             rows = [cells for cells in reader if cells]
     except csv.Error as exc:
-        return _fail_usage(f"{args.input} line {reader.line_num}: {exc}")
+        raise _UsageError(f"{args.input} line {reader.line_num}: {exc}")
     finally:
         csv.field_size_limit(field_limit)
 
@@ -74,22 +79,21 @@ def _cmd_explode(args) -> int:
     column.update({name: width + i for i, name in enumerate(("dstream_row", *RECORD_COLUMNS))})
     out_fields = ["dstream_row", *fields, *RECORD_COLUMNS]
     pick = itemgetter(*(column[name] for name in out_fields))
-    # note every row before exploding any, so that each layout with a
-    # greedy segment is passed over once; the loop below reports bad rows
-    tables = TableCache()
-    for cells in rows:
-        # a short row's missing cells read as None and write as empty
-        cells += [None] * (width - len(cells))
-        if len(cells) == width:
-            with suppress(ValueError):
-                S, T = parse_int(cells[s_at]), parse_int(cells[t_at])
-                tables.note(cells[algo_at], S, T, args.value_bits, cells[hex_at])
-    rejects: list[tuple[int, str]] = []
-    try:
-        outfile = open(args.output, "w", newline="")
-    except OSError as exc:
-        return _fail_usage(f"cannot write {args.output}: {exc}")
-    with outfile:
+    # open both outputs before any row is noted: the output may run to GiBs,
+    # so an unwritable report fails before it is written.  The report always
+    # exists, so downstream scripts can rely on it.
+    with _open(args.output, "w") as outfile, _open(args.output + ".rejects", "w") as rejfile:
+        # note every row before exploding any, so that each layout with a
+        # greedy segment is passed over once; the loop below reports bad rows
+        tables = TableCache()
+        for cells in rows:
+            # a short row's missing cells read as None and write as empty
+            cells += [None] * (width - len(cells))
+            if len(cells) == width:
+                with suppress(ValueError):
+                    S, T = parse_int(cells[s_at]), parse_int(cells[t_at])
+                    tables.note(cells[algo_at], S, T, args.value_bits, cells[hex_at])
+        rejects: list[tuple[int, str]] = []
         writer = csv.writer(outfile, lineterminator="\n")
         writer.writerow(out_fields)
         for ordinal, cells in enumerate(rows):
@@ -105,16 +109,9 @@ def _cmd_explode(args) -> int:
             # unwritten sites carry None, which csv writes as an empty cell
             head = (*cells, ordinal)
             writer.writerows(pick(head + triple) for triple in triples)
-
-    # the rejects report always exists so downstream scripts can rely on it
-    try:
-        rejfile = open(args.output + ".rejects", "w", newline="")
-    except OSError as exc:
-        return _fail_usage(f"cannot write {args.output}.rejects: {exc}")
-    with rejfile:
-        writer = csv.writer(rejfile, lineterminator="\n")
-        writer.writerow(["dstream_row", "error"])
-        writer.writerows(rejects)
+        report = csv.writer(rejfile, lineterminator="\n")
+        report.writerow(["dstream_row", "error"])
+        report.writerows(rejects)
 
     if rejects:
         print(f"{len(rejects)} of {len(rows)} rows rejected", file=sys.stderr)
@@ -130,22 +127,16 @@ def _cmd_validate(args) -> int:
                 algos, args.max_s, args.max_t, args.steady_extra, args.seed
             )
         except StreamSieveError as exc:
-            return _fail_usage(str(exc))
-        try:
-            fileobj = open(args.generate, "w", newline="")
-        except OSError as exc:
-            return _fail_usage(f"cannot write {args.generate}: {exc}")
-        with fileobj:
+            raise _UsageError(exc)
+        with _open(args.generate, "w") as fileobj:
             write_vectors_csv(fileobj, vectors)
         print(f"wrote {len(vectors)} vectors to {args.generate}", file=sys.stderr)
         return 0
     try:
-        with open(args.check, newline="") as fileobj:
+        with _open(args.check) as fileobj:
             vectors = read_vectors_csv(fileobj)
-    except OSError as exc:
-        return _fail_usage(f"cannot read {args.check}: {exc}")
     except VectorFormatError as exc:
-        return _fail_usage(str(exc))
+        raise _UsageError(exc)
     mismatches = check_vectors(vectors)
     for message in mismatches:
         print(message, file=sys.stderr)
@@ -176,38 +167,17 @@ def _parse_windows(text: str) -> list[tuple[int, int]]:
 
 
 def _cmd_bench(args) -> int:
-    if args.replicates < 1:
-        return _fail_usage("--replicates must be at least 1")
     try:
         algo = parse_algorithm(args.algo)
         sizes = _parse_int_list(args.sizes, "--sizes")
         windows = _parse_windows(args.depths)
         results = run_benchmark(algo, sizes, windows, args.replicates)
     except (ValueError, TypeError) as exc:
-        return _fail_usage(str(exc))
-    try:
-        out = open(args.output, "w", newline="") if args.output else sys.stdout
-    except OSError as exc:
-        return _fail_usage(f"cannot write {args.output}: {exc}")
-    try:
+        raise _UsageError(exc)
+    with _open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(BENCH_FIELDS)
-        for row in results:
-            writer.writerow(
-                [
-                    row.algo,
-                    row.S,
-                    row.t_lo,
-                    row.t_hi,
-                    row.items,
-                    row.total_ns,
-                    f"{row.ns_per_item:.3f}",
-                    row.replicate,
-                ]
-            )
-    finally:
-        if args.output:
-            out.close()
+        writer.writerows(row._replace(ns_per_item=f"{row.ns_per_item:.3f}") for row in results)
     return 0
 
 
@@ -215,7 +185,7 @@ def _cmd_lookup(args) -> int:
     try:
         entries = last_write_times(parse_algorithm(args.algo), args.S, args.T)
     except ConfigurationError as exc:
-        return _fail_usage(str(exc))
+        raise _UsageError(exc)
     except ValueError as exc:  # refused: the limit, capacity or a bad T
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -318,7 +288,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 def run() -> None:

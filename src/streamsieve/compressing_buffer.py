@@ -44,10 +44,10 @@ class CompressingBuffer:
     def ingest(self, T: int, value) -> bool:
         """Offer index T with its value; returns True when stored.
 
-        Indices must arrive densely in order (0, 1, 2, ...); anything else
-        raises SequenceError.
+        Indices must arrive densely in order (0, 1, 2, ...) as ints; anything
+        else, such as 0.0 or False, raises SequenceError.
         """
-        if T != self._next:
+        if type(T) is not int or T != self._next:
             raise SequenceError(f"expected index {self._next}, got {T!r}")
         self._next += 1
         m = self.interval

@@ -15,12 +15,13 @@ from typing import NamedTuple
 
 from .algorithms import (
     MIN_SITE_COUNT,
+    _clip,
     parse_algorithm,
     parse_int,
     site_selection,
     stream_capacity,
 )
-from .errors import StreamSieveError, VectorFormatError
+from .errors import DomainError, StreamSieveError, VectorFormatError
 
 VECTOR_FIELDS = ("algo", "S", "T", "expected_sites")
 
@@ -60,8 +61,12 @@ def generate_vectors(
     grid covers every power-of-two S in [4, max_s] (a hybrid instead uses
     its own total) and every T in [0, min(max_t, supported length)).
     ``steady_extra`` large-T rows per steady S are drawn from
-    [max_t, max_t + 2**48) with the given seed.
+    [max_t, max_t + 2**48) with the given seed.  The three bounds must be
+    ints; DomainError names the first that is not (1.0 and True are not).
     """
+    for name, bound in (("max_s", max_s), ("max_t", max_t), ("steady_extra", steady_extra)):
+        if type(bound) is not int:
+            raise DomainError(f"{name} must be an integer, got {_clip(bound)}")
     rng = random.Random(seed)
     vectors: list[TestVector] = []
     for token in algos:

@@ -31,7 +31,6 @@ from array import array
 from collections import Counter
 
 from .algorithms import (
-    MAX_STEADY_T,  # noqa: F401  (still importable from here)
     REPLAY_CAP,
     STEADY,
     TILTED,

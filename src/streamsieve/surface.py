@@ -45,12 +45,16 @@ def hex_digest_length(S: int, value_bits: int) -> int:
 def pack_slots_hex(slots, value_bits: int) -> str:
     """Pack slot values into the canonical lowercase hex digest.
 
-    Raises DomainError, naming the first such slot, when a value is
-    negative or wider than ``value_bits``.
+    Raises DomainError, naming the first such slot, when a value is not of
+    type int (a bool is not), is negative or is wider than ``value_bits``:
+    what ``Surface.ingest`` refuses.  No slots pack to the empty digest.
     """
     validate_value_bits(value_bits)
-    if slots and (min(slots) < 0 or max(slots) >> value_bits):
-        k = next(k for k, v in enumerate(slots) if v < 0 or v >> value_bits)
+    if not slots:
+        return ""
+    # the type scan runs in C, a few percent of the packing loop below
+    if not {int}.issuperset(map(type, slots)) or min(slots) < 0 or max(slots) >> value_bits:
+        k = next(k for k, v in enumerate(slots) if type(v) is not int or v < 0 or v >> value_bits)
         raise DomainError(f"slot {k} holds {slots[k]!r}, which does not fit in {value_bits} bits")
     acc = 0
     for v in slots:
@@ -67,6 +71,8 @@ def unpack_slots_hex(text: str, S: int, value_bits: int) -> list[int]:
     wrong, never the text itself, which may be megabytes long.
     """
     validate_value_bits(value_bits)
+    if type(S) is not int:
+        raise ConfigurationError(f"site count must be an int, got {type(S).__name__}")
     digits = hex_digest_length(S, value_bits)
     if not isinstance(text, str):
         got = type(text).__name__
@@ -144,7 +150,7 @@ class Surface:
         T = selector.T
         if not has_ingest_capacity(self.algo, self.S, T) or T >= selector.reload_limit:
             _refuse(self.algo, self.S, T + 1, selector.capacity, selector.reload_limit)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0 or value >> self.value_bits:
+        if type(value) is not int or value < 0 or value >> self.value_bits:
             raise DomainError(
                 f"value {value!r} does not fit in {self.value_bits} bits"
             )

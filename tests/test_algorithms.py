@@ -385,6 +385,9 @@ def test_hybrid_validation():
         hybrid(("steady", 4), ("tilted", 8))  # sum 12 is not a legal S
     with pytest.raises(ConfigurationError):
         hybrid_assign(hybrid(("steady", 4), ("tilted", 4)), 16, 0)  # sum != S
+    with pytest.raises(ConfigurationError, match="^segments must be a tuple, got list$"):
+        # a list would neither equal the parsed layout nor hash
+        Algorithm("hybrid", [("steady", 4), ("tilted", 4)])
 
 
 def test_a_hybrid_is_its_two_fields():

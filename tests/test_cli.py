@@ -148,11 +148,17 @@ class TestExplode:
         out = tmp_path / "missing" / "out.csv"
         assert main(["explode", str(src), str(out), "--value-bits", "8"]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
-        # the rejects report is an output too
+
+    def test_unwritable_report_fails_before_any_record(self, tmp_path, capsys):
+        # the rejects report is an output too, opened with the output; before,
+        # every record was written and only then the report found unwritable
+        src = tmp_path / "dumps.csv"
+        write_csv(src, DUMP_HEADER, [["steady", 4, 8, "05010703", "alpha"]] * 3)
         out = tmp_path / "out.csv"
         (tmp_path / "out.csv.rejects").mkdir()
         assert main(["explode", str(src), str(out), "--value-bits", "8"]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}.rejects: ")
+        assert out.read_text() == ""
 
     def test_value_bits_is_required_and_validated(self, tmp_path):
         src = tmp_path / "dumps.csv"
@@ -485,7 +491,7 @@ class TestBench:
         first = lines[1].split(",")
         assert first[:5] == ["steady", "8", "0", "64", "64"]
         assert int(first[5]) > 0
-        assert float(first[6]) > 0
+        assert float(first[6]) > 0 and len(first[6].partition(".")[2]) == 3
         assert [row.split(",")[-1] for row in lines[1:]] == ["0", "1"]
 
     def test_output_file_and_multiple_windows(self, tmp_path):

@@ -64,6 +64,14 @@ def test_indices_must_be_dense_and_ordered():
     fresh = CompressingBuffer(4)
     with pytest.raises(SequenceError):
         fresh.ingest(1, "late start")
+    # 0.0 and True compare equal to the next index, but are not indices
+    exact = CompressingBuffer(4)
+    with pytest.raises(SequenceError):
+        exact.ingest(0.0, "a")
+    exact.ingest(0, "a")
+    with pytest.raises(SequenceError):
+        exact.ingest(True, "b")
+    assert exact.retained() == [0]
 
 
 def test_skips_still_advance_the_protocol():

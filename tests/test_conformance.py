@@ -3,6 +3,7 @@ import io
 import pytest
 
 from streamsieve import (
+    DomainError,
     TestVector,
     VectorFormatError,
     check_vectors,
@@ -69,6 +70,15 @@ def test_hybrid_uses_its_own_total():
     assert vectors[0].expected == (0, 4)
     # a hybrid wider than max_s contributes nothing
     assert generate_vectors(["hybrid(steady:4+tilted:4)"], 4, 8, steady_extra=0) == []
+
+
+@pytest.mark.parametrize(
+    "max_t, steady_extra", [(1.0, 0), (4, 2.5), (True, 0)], ids=["float-T", "float-extra", "bool-T"]
+)
+def test_bounds_must_be_ints(max_t, steady_extra):
+    # a TypeError from range(), or one vector for max_t=True, before
+    with pytest.raises(DomainError, match="must be an integer"):
+        generate_vectors(["steady"], 4, max_t, steady_extra)
 
 
 def test_check_is_reflexive():

@@ -139,12 +139,16 @@ def test_checkers_on_greedy_replays():
         (lambda: run_benchmark(STEADY, [], [(0, 8)], 1), ConfigurationError),
         (lambda: run_benchmark(STEADY, [64], [], 1), DomainError),
         (lambda: run_benchmark(STEADY, [6], [(0, 8)], 1), ConfigurationError),
+        (lambda: run_benchmark(STEADY, [4], [(False, True)], 1), DomainError),
+        (lambda: run_benchmark(STEADY, [4], [(0, 4)], True), DomainError),
+        (lambda: run_benchmark(STEADY, 4, [(0, 4)], 1), ConfigurationError),
     ],
     ids=[
         "needed-S", "needed-T", "gap-T", "gap-S", "coverage-mode", "coverage-T",
         "density-direction", "density-T", "bench-reversed-window", "bench-triple-window",
         "bench-int-window", "bench-window-past-replay-cap", "bench-replicates",
-        "bench-no-sizes", "bench-no-windows", "bench-S",
+        "bench-no-sizes", "bench-no-windows", "bench-S", "bench-bool-window",
+        "bench-bool-replicates", "bench-int-sizes",
     ],
 )
 def test_bad_arguments_raise_library_errors(call, error):

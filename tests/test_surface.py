@@ -69,6 +69,12 @@ def test_value_domain_checks():
     b.ingest(1)
     with pytest.raises(DomainError):
         b.ingest(2)
+    # only type int: pack_slots_hex refuses anything else, so a surface that
+    # took an int subclass could not be dumped
+    for value in (True, type("Sub", (int,), {})(3)):
+        with pytest.raises(DomainError):
+            s.ingest(value)
+    assert s.to_hex() == "ff000000"
 
 
 @pytest.mark.parametrize("value_bits", [8.0, True], ids=["float", "bool"])
@@ -129,6 +135,9 @@ def test_hex_examples():
     assert pack_slots_hex([5, 1, 7, 3], 8) == "05010703"
     assert pack_slots_hex([1, 0, 1, 1, 0, 0, 0, 0], 1) == "b0"
     assert pack_slots_hex([0, 0, 0, 0], 32) == "0" * 32
+    # no slots are the empty digest, which reads back as no slots
+    assert pack_slots_hex([], 8) == ""
+    assert unpack_slots_hex("", 0, 8) == []
 
 
 @pytest.mark.parametrize(
@@ -138,11 +147,17 @@ def test_hex_examples():
         ([0, -1], 8, "slot 1 holds -1"),
         ([1, 0, 2, 5], 1, "slot 2 holds 2"),
         ([0, 1 << 64], 64, f"slot 1 holds {1 << 64}"),
+        # what Surface.ingest refuses: a bool, a float, a str
+        ([True, 2, 0, 0], 8, "slot 0 holds True"),
+        ([0, 0, 0, False], 1, "slot 3 holds False"),
+        ([1.5, 0, 0, 0], 8, r"slot 0 holds 1\.5"),
+        (["7", 0, 0, 0], 8, "slot 0 holds '7'"),
     ],
-    ids=["too-wide", "negative", "bit", "u64"],
+    ids=["too-wide", "negative", "bit", "u64", "bool", "bool-bit", "float", "str"],
 )
 def test_pack_refuses_values_that_do_not_fit(slots, value_bits, bad):
-    # '012c' and '-001' before: the value bled into its neighbour, or a sign
+    # '012c' and '-001' before: the value bled into its neighbour, or a sign;
+    # '01020000' for the bool, and a TypeError for the float and the str
     with pytest.raises(DomainError, match=f"^{bad}, which does not fit in {value_bits} bits$"):
         pack_slots_hex(slots, value_bits)
 
@@ -162,6 +177,10 @@ def test_unpack_examples():
         with pytest.raises(HexFormatError) as info:
             unpack_slots_hex(text, 4, 8)
         assert str(info.value) == expected + got, text
+    # a TypeError or a struct.error before
+    for S in ("4", None, 4.0):
+        with pytest.raises(ConfigurationError, match="^site count must be an int, got "):
+            unpack_slots_hex("05010703", S, 8)
 
 
 @given(
@@ -335,7 +354,7 @@ def test_ingest_stops_at_the_reload_limit():
     Each greedy part is positioned one arrival below the limit from a
     synthetic last-writer table, so no multi-million-step replay runs.
     """
-    from streamsieve.lookup import MAX_STEADY_T
+    from streamsieve.algorithms import MAX_STEADY_T
 
     # capacity alone would let these greedy surfaces run past the replay cap
     assert has_ingest_capacity(TILTED, 32, REPLAY_CAP + 1)
