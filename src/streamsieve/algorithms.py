@@ -47,7 +47,9 @@ per-(profile, S) replay memo.
 goes: with a greedy segment, capacity 2**size - 2 for the smallest one
 and limit REPLAY_CAP, as it is stepped forward to T; with none, no
 capacity and limit MAX_STEADY_T, the range of the 64-bit counter other
-ports keep.  A hybrid is resolved once, as its ``Algorithm`` is built.
+ports keep.  A scalar layout is resolved once per (kind, S), when first
+asked for, into a table of at most 57 entries (3 kinds x 19 sizes); a
+hybrid is resolved once, as its ``Algorithm`` is built, and kept on it.
 Every path that takes a layout to n arrivals (n = T + 1 for pointwise
 selection) refuses through ``_refuse``: the limit (ReplayLimitError),
 then capacity (CapacityError).  Only the replay oracle ``lookup_replay``
@@ -157,7 +159,7 @@ class Algorithm:
                     f"a power of two <= 2**20"
                 )
             object.__setattr__(self, "total_sites", total)
-            object.__setattr__(self, "_resolved", _layout(self, total))
+            object.__setattr__(self, "_resolved", _resolve(self.segments))
         else:
             raise ConfigurationError(f"unknown algorithm kind {_clip(self.kind)}")
 
@@ -266,35 +268,59 @@ def epoch(S: int, T: int) -> int:
 # layout, capacity and limit
 
 
+def _resolve(segments) -> tuple[tuple[tuple[str, int, int], ...], int | None, int]:
+    # the one place the capacity and limit rules are written: a greedy
+    # segment supports 2**size - 2 ingests and is stepped forward to T; an
+    # all-steady layout is closed form over the 64-bit counter
+    laid_out = []
+    offset = 0
+    smallest = None
+    for kind, size in segments:
+        laid_out.append((kind, size, offset))
+        offset += size
+        if kind != "steady" and (smallest is None or size < smallest):
+            smallest = size
+    if smallest is None:
+        return tuple(laid_out), None, MAX_STEADY_T
+    return tuple(laid_out), (1 << smallest) - 2, REPLAY_CAP
+
+
+# (kind, S) -> a scalar rule's resolved layout, filled as layouts are first
+# asked for: at most 3 kinds x 19 sizes = 57 entries.  A hybrid keeps its
+# own on its Algorithm, so no number of hybrids can grow this.  Two threads
+# racing on one key resolve it twice to equal values, so it needs no lock.
+_scalar_layouts: dict[tuple[str, int], tuple] = {}
+
+
 def _layout(algo: Algorithm, S: int) -> tuple[tuple[tuple[str, int, int], ...], int | None, int]:
     """Validate (algo, S) and resolve it: (kind, size, offset) segments,
     capacity (None if unbounded) and limit, the most arrivals it goes to.
 
-    A scalar rule is one segment covering all S sites.  A hybrid is
-    resolved here once, as ``Algorithm`` builds it, and then handed back.
+    A scalar rule is one segment covering all S sites, resolved once per
+    (kind, S) and then looked up.  A hybrid is resolved once, as
+    ``Algorithm`` builds it, and then handed back.
     """
     if not isinstance(algo, Algorithm):
         raise ConfigurationError(f"expected an Algorithm, got {algo!r}")
-    validate_site_count(S)
     if algo._resolved is not None:
+        validate_site_count(S)
         if algo.total_sites != S:
             raise ConfigurationError(
                 f"hybrid segments cover {algo.total_sites} sites but S={S}"
             )
         return algo._resolved
-    segments = []
-    offset = 0
-    smallest = None
-    for kind, size in algo.segments or ((algo.kind, S),):
-        segments.append((kind, size, offset))
-        offset += size
-        if kind != "steady" and (smallest is None or size < smallest):
-            smallest = size
-    # a greedy segment supports 2**size - 2 ingests and is stepped forward
-    # to T; an all-steady layout is closed form over the 64-bit counter
-    if smallest is None:
-        return tuple(segments), None, MAX_STEADY_T
-    return tuple(segments), (1 << smallest) - 2, REPLAY_CAP
+    # only an exact int is looked up: 4.0 and True hash like 4 but are not
+    # site counts, and an int subclass is resolved as given
+    exact = type(S) is int
+    if exact:
+        layout = _scalar_layouts.get((algo.kind, S))
+        if layout is not None:
+            return layout
+    validate_site_count(S)
+    layout = _resolve(((algo.kind, S),))
+    if exact:
+        _scalar_layouts[algo.kind, S] = layout
+    return layout
 
 
 def stream_capacity(algo: Algorithm, S: int) -> int | None:

@@ -59,14 +59,17 @@ def _time_window(algo: Algorithm, S: int, t_lo: int, t_hi: int) -> int:
 def run_benchmark(algo: Algorithm, sizes, windows, replicates: int) -> list[BenchResult]:
     """Time selection across sizes x windows x replicates.
 
-    ``sizes`` is a list or tuple of site counts and ``windows`` a sequence
-    of (t_lo, t_hi) int pairs.  Returns one row per (S, window, replicate),
-    in that nesting order.
+    ``sizes`` is a list or tuple of site counts and ``windows`` a list or
+    tuple of (t_lo, t_hi) int pairs; anything else is a ConfigurationError.
+    Returns one row per (S, window, replicate), in that nesting order.
     """
     if type(replicates) is not int or replicates < 1:
         raise DomainError(f"replicates must be a positive integer, got {replicates!r}")
     if not isinstance(sizes, (list, tuple)) or not sizes:
         raise ConfigurationError(f"need a list or tuple of at least one size, got {_clip(sizes)}")
+    # an iterator would be spent on the first size and skip the rest
+    if not isinstance(windows, (list, tuple)):
+        raise ConfigurationError(f"need a list or tuple of depth windows, got {_clip(windows)}")
     if not windows:
         raise DomainError("need at least one depth window")
     plans = [(S, *_validate_window(algo, S, window)) for S in sizes for window in windows]

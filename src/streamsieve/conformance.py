@@ -88,14 +88,29 @@ def generate_vectors(
 
 
 def check_vectors(vectors) -> list[str]:
-    """Recompute every vector; returns one message per mismatch."""
+    """Recompute every vector; returns one message per mismatch.
+
+    Each distinct token is parsed once per call, and a token that does not
+    parse is reported on every vector that carries it.  A token that is not
+    a str is parsed on each of its vectors, never kept.
+    """
     mismatches = []
+    # token -> its Algorithm, or the StreamSieveError parsing it raised
+    parsed = {}
     for idx, vec in enumerate(vectors):
-        try:
-            algo = parse_algorithm(vec.algo)
-        except StreamSieveError as exc:
+        token = vec.algo
+        keep = type(token) is str  # a list would not hash
+        algo = parsed.get(token) if keep else None
+        if algo is None:
+            try:
+                algo = parse_algorithm(token)
+            except StreamSieveError as exc:
+                algo = exc
+            if keep:
+                parsed[token] = algo
+        if isinstance(algo, StreamSieveError):
             # the message names the token, cut short; do not repeat it whole
-            mismatches.append(f"vector {idx} (S={vec.S} T={vec.T}): {exc}")
+            mismatches.append(f"vector {idx} (S={vec.S} T={vec.T}): {algo}")
             continue
         try:
             got = tuple(sorted(site_selection(algo, vec.S, vec.T)))

@@ -42,14 +42,22 @@ def hex_digest_length(S: int, value_bits: int) -> int:
     return S * value_bits // 4
 
 
+def _check_bit_slots(count: int, value_bits: int) -> None:
+    # a hex digit holds 4 one-bit slots; any other count has no digest
+    if value_bits == 1 and count % 4:
+        raise ConfigurationError(f"1-bit slots come in fours, got {count}")
+
+
 def pack_slots_hex(slots, value_bits: int) -> str:
     """Pack slot values into the canonical lowercase hex digest.
 
     Raises DomainError, naming the first such slot, when a value is not of
     type int (a bool is not), is negative or is wider than ``value_bits``:
-    what ``Surface.ingest`` refuses.  No slots pack to the empty digest.
+    what ``Surface.ingest`` refuses.  At 1 bit the slot count must be a
+    multiple of 4 (ConfigurationError).  No slots pack to the empty digest.
     """
     validate_value_bits(value_bits)
+    _check_bit_slots(len(slots), value_bits)
     if not slots:
         return ""
     # the type scan runs in C, a few percent of the packing loop below
@@ -73,6 +81,7 @@ def unpack_slots_hex(text: str, S: int, value_bits: int) -> list[int]:
     validate_value_bits(value_bits)
     if type(S) is not int:
         raise ConfigurationError(f"site count must be an int, got {type(S).__name__}")
+    _check_bit_slots(S, value_bits)
     digits = hex_digest_length(S, value_bits)
     if not isinstance(text, str):
         got = type(text).__name__
@@ -82,8 +91,10 @@ def unpack_slots_hex(text: str, S: int, value_bits: int) -> list[int]:
         # translate left a character that is not a hex digit; name the first
         bad = next(i for i, c in enumerate(text) if c not in _HEX_DIGITS)
         got = f"non-hex {text[bad]!r} at index {bad}"
+    elif not text:
+        return []  # no slots; int('', 16) would not parse
     elif value_bits == 1:
-        # S is a multiple of 4, so one digit is 4 slots, most significant first
+        # one digit is 4 slots, most significant first
         return list(format(int(text, 16), f"0{S}b").encode().translate(_BIT_VALUES))
     else:
         # the charset check stands: fromhex would skip whitespace

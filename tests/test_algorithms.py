@@ -29,8 +29,11 @@ from streamsieve import (
     tilted_assign,
     validate_site_count,
 )
+from streamsieve import algorithms
 from streamsieve.algorithms import (
     MAX_STEADY_T,
+    SCALAR_KINDS,
+    Selector,
     _GreedyCurator,
     _layout,
     _refuse,
@@ -411,6 +414,59 @@ def test_a_hybrid_is_its_two_fields():
         assert _layout(algo, 16) == (layout, 14, REPLAY_CAP)
     assert STEADY.segment_layout() == () and STEADY.total_sites is None
     assert _layout(STEADY, 8) == ((("steady", 8, 0),), None, MAX_STEADY_T)
+
+
+LEGAL_SIZES = [1 << s for s in range(2, 21)]
+
+
+def test_scalar_layouts_resolve_once(monkeypatch):
+    # the first call resolves the rule; every later one hands back that object
+    monkeypatch.setattr(algorithms, "_scalar_layouts", {})
+    for kind in SCALAR_KINDS:
+        algo = Algorithm(kind)
+        for S in LEGAL_SIZES:
+            first = _layout(algo, S)
+            if kind == "steady":
+                assert first == (((kind, S, 0),), None, MAX_STEADY_T)
+            else:
+                assert first == (((kind, S, 0),), (1 << S) - 2, REPLAY_CAP)
+            assert _layout(algo, S) is first
+    assert len(algorithms._scalar_layouts) == 3 * 19 == 57
+
+
+@pytest.mark.parametrize(
+    "S", [4.0, True, "4", 3, 2**21], ids=["float", "bool", "str", "not-power", "too-big"]
+)
+def test_warm_layouts_still_refuse_what_is_not_a_site_count(S):
+    # 4.0 and True hash like 4, so only an exact int may be looked up
+    _layout(STEADY, 4)
+    _layout(TILTED, 1 << 20)
+    with pytest.raises(ConfigurationError) as info:
+        _layout(STEADY, S)
+    assert str(info.value) == f"site count must be a power of two in [4, 2**20], got {S!r}"
+
+
+def test_an_int_subclass_is_resolved_as_given():
+    class Four(int):
+        pass
+
+    cached = _layout(STRETCHED, 4)
+    got = _layout(STRETCHED, Four(4))
+    assert got == cached and got is not cached
+    assert type(got[0][0][1]) is Four
+    # and it does not replace the entry an exact 4 gets
+    assert _layout(STRETCHED, 4) is cached and type(cached[0][0][1]) is int
+
+
+def test_hybrids_stay_out_of_the_layout_table():
+    for a in SCALAR_KINDS:
+        for b in SCALAR_KINDS:
+            for size in (4, 8, 16, 32, 64):
+                algo = hybrid((a, size), (b, size), (a, 2 * size))
+                site_selection(algo, 4 * size, 3)
+                Selector(algo, 4 * size)
+    assert {kind for kind, _ in algorithms._scalar_layouts} <= set(SCALAR_KINDS)
+    assert len(algorithms._scalar_layouts) <= 57
 
 
 def test_algorithm_tokens_round_trip():

@@ -8,9 +8,11 @@ from streamsieve import (
     VectorFormatError,
     check_vectors,
     generate_vectors,
+    parse_algorithm,
     read_vectors_csv,
     write_vectors_csv,
 )
+from streamsieve import conformance
 from streamsieve.conformance import DEFAULT_SEED
 
 # suppress the collector's "Test*" class warning for the NamedTuple re-export
@@ -111,6 +113,92 @@ def test_check_reports_rows_past_the_replay_cap():
     messages = check_vectors([TestVector("tilted", 64, 2**40, (0,))])
     assert len(messages) == 1
     assert "vector 0" in messages[0] and "capped" in messages[0]
+
+
+def test_a_bad_token_is_reported_on_each_of_its_rows():
+    vectors = [TestVector("sideways", S, T, ()) for S, T in ((4, 0), (8, 1), (16, 2))]
+    assert check_vectors(vectors) == [
+        "vector 0 (S=4 T=0): unknown algorithm token 'sideways'",
+        "vector 1 (S=8 T=1): unknown algorithm token 'sideways'",
+        "vector 2 (S=16 T=2): unknown algorithm token 'sideways'",
+    ]
+
+
+@pytest.mark.parametrize("token", [None, []], ids=["none", "list"])
+def test_a_token_that_is_not_a_string_is_reported_per_vector(token):
+    # a list cannot key the parsed-token dict; it must not raise TypeError
+    vectors = [TestVector(token, 4, 0, ()), TestVector("steady", 4, 0, (0,))] * 2
+    assert check_vectors(vectors) == [
+        f"vector {i} (S=4 T=0): algorithm token must be a string, got {token!r}" for i in (0, 2)
+    ]
+
+
+def test_each_token_is_parsed_once_per_check(monkeypatch):
+    vectors = generate_vectors(["steady", "tilted", "hybrid(steady:4+tilted:4)"], 8, 16, 2)
+    vectors += [TestVector("sideways", 4, 0, ())] * 3 + [TestVector(None, 4, 0, ())] * 2
+    calls = []
+
+    def counting(token):
+        calls.append(token)
+        return parse_algorithm(token)
+
+    monkeypatch.setattr(conformance, "parse_algorithm", counting)
+    assert len(check_vectors(vectors)) == 5
+    # a str token once, whatever its outcome; None on each of its vectors
+    assert calls == ["steady", "tilted", "hybrid(steady:4+tilted:4)", "sideways", None, None]
+
+
+LONG_TOKEN = "hybrid(steady:4+tilted:" + "9" * 5000 + ")"
+CLIPPED = (
+    "bad hybrid segment 'tilted:999999999999999999999999... (5009 characters) "
+    "in 'hybrid(steady:4+tilted:99999999... (5026 characters)"
+)
+SITES = "site count must be a power of two in [4, 2**20], got"
+
+
+def test_a_mixed_file_reports_as_before():
+    vectors = [
+        TestVector("steady", 4, 5, (0,)),
+        TestVector("steady", 4, 5, (1,)),
+        TestVector("sideways", 4, 0, (0,)),
+        TestVector("tilted", 8, 9, (0,)),
+        TestVector("sideways", 8, 1, ()),
+        TestVector("hybrid(steady:4+tilted:4)", 8, 0, (0, 4)),
+        TestVector("hybrid(steady:4+tilted:4)", 16, 0, (0, 4)),
+        TestVector("hybrid(steady:4+tilted:3)", 7, 0, ()),
+        TestVector(None, 4, 0, ()),
+        TestVector([], 4, 0, ()),
+        TestVector("stretched", 4, 200, (0,)),
+        TestVector("tilted", 64, 2**40, (0,)),
+        TestVector("steady", 6, 0, (0,)),
+        TestVector("steady", 4.0, 0, (0,)),
+        TestVector("steady", True, 0, (0,)),
+        TestVector("steady", 4, -1, ()),
+        TestVector(LONG_TOKEN, 8, 0, ()),
+        TestVector("sideways", 16, 2, ()),
+        TestVector(LONG_TOKEN, 8, 1, ()),
+        TestVector("hybrid(steady:4+tilted:4)", 8, 1, (1, 5)),
+    ]
+    assert check_vectors(vectors) == [
+        "vector 1 (steady S=4 T=5): expected [1], got [0]",
+        "vector 2 (S=4 T=0): unknown algorithm token 'sideways'",
+        "vector 3 (tilted S=8 T=9): expected [0], got [2]",
+        "vector 4 (S=8 T=1): unknown algorithm token 'sideways'",
+        "vector 6 (hybrid(steady:4+tilted:4) S=16 T=0): hybrid segments cover 8 sites but S=16",
+        f"vector 7 (S=7 T=0): {SITES} 3",
+        "vector 8 (S=4 T=0): algorithm token must be a string, got None",
+        "vector 9 (S=4 T=0): algorithm token must be a string, got []",
+        "vector 10 (stretched S=4 T=200): stretched with S=4 supports at most 14 ingests, asked for 201",
+        "vector 11 (tilted S=64 T=1099511627776): tilted with S=64 is capped at 4194304 arrivals, "
+        "asked for 1099511627777",
+        f"vector 12 (steady S=6 T=0): {SITES} 6",
+        f"vector 13 (steady S=4.0 T=0): {SITES} 4.0",
+        f"vector 14 (steady S=True T=0): {SITES} True",
+        "vector 15 (steady S=4 T=-1): ingest counter must be a non-negative integer, got -1",
+        f"vector 16 (S=8 T=0): {CLIPPED}",
+        "vector 17 (S=16 T=2): unknown algorithm token 'sideways'",
+        f"vector 18 (S=8 T=1): {CLIPPED}",
+    ]
 
 
 def test_csv_round_trip_and_determinism():

@@ -142,13 +142,15 @@ def test_checkers_on_greedy_replays():
         (lambda: run_benchmark(STEADY, [4], [(False, True)], 1), DomainError),
         (lambda: run_benchmark(STEADY, [4], [(0, 4)], True), DomainError),
         (lambda: run_benchmark(STEADY, 4, [(0, 4)], 1), ConfigurationError),
+        # an iterator was spent on S=4, and S=8 silently went untimed
+        (lambda: run_benchmark(STEADY, [4, 8], (w for w in [(0, 4)]), 1), ConfigurationError),
     ],
     ids=[
         "needed-S", "needed-T", "gap-T", "gap-S", "coverage-mode", "coverage-T",
         "density-direction", "density-T", "bench-reversed-window", "bench-triple-window",
         "bench-int-window", "bench-window-past-replay-cap", "bench-replicates",
         "bench-no-sizes", "bench-no-windows", "bench-S", "bench-bool-window",
-        "bench-bool-replicates", "bench-int-sizes",
+        "bench-bool-replicates", "bench-int-sizes", "bench-iterator-windows",
     ],
 )
 def test_bad_arguments_raise_library_errors(call, error):

@@ -138,6 +138,15 @@ def test_hex_examples():
     # no slots are the empty digest, which reads back as no slots
     assert pack_slots_hex([], 8) == ""
     assert unpack_slots_hex("", 0, 8) == []
+    assert pack_slots_hex([], 1) == ""
+    assert unpack_slots_hex("", 0, 1) == []
+    # a hex digit is four 1-bit slots: '1f' for five slots before, which no
+    # unpack read back
+    for count in (1, 2, 3, 5, 6, 7):
+        with pytest.raises(ConfigurationError, match=f"^1-bit slots come in fours, got {count}$"):
+            pack_slots_hex([1] * count, 1)
+        with pytest.raises(ConfigurationError, match=f"^1-bit slots come in fours, got {count}$"):
+            unpack_slots_hex("f" * (count // 4), count, 1)
 
 
 @pytest.mark.parametrize(
