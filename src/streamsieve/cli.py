@@ -21,6 +21,7 @@ import csv
 import sys
 from contextlib import nullcontext, suppress
 from operator import itemgetter
+from types import SimpleNamespace
 
 from .algorithms import MAX_SITE_COUNT, parse_algorithm, parse_int
 from .benchmark import BENCH_FIELDS, run_benchmark
@@ -79,6 +80,8 @@ def _cmd_explode(args) -> int:
     column.update({name: width + i for i, name in enumerate(("dstream_row", *RECORD_COLUMNS))})
     out_fields = ["dstream_row", *fields, *RECORD_COLUMNS]
     pick = itemgetter(*(column[name] for name in out_fields))
+    # writerow returns what its file's write returns: here, the encoded line
+    encode = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     # open both outputs before any row is noted: the output may run to GiBs,
     # so an unwritable report fails before it is written.  The report always
     # exists, so downstream scripts can rely on it.
@@ -94,8 +97,7 @@ def _cmd_explode(args) -> int:
                     S, T = parse_int(cells[s_at]), parse_int(cells[t_at])
                     tables.note(cells[algo_at], S, T, args.value_bits, cells[hex_at])
         rejects: list[tuple[int, str]] = []
-        writer = csv.writer(outfile, lineterminator="\n")
-        writer.writerow(out_fields)
+        outfile.write(encode(out_fields))
         for ordinal, cells in enumerate(rows):
             if len(cells) > width:
                 rejects.append((ordinal, f"row has {len(cells)} cells but the header has {width}"))
@@ -106,9 +108,16 @@ def _cmd_explode(args) -> int:
             except ValueError as exc:
                 rejects.append((ordinal, str(exc)))
                 continue
-            # unwritten sites carry None, which csv writes as an empty cell
-            head = (*cells, ordinal)
-            writer.writerows(pick(head + triple) for triple in triples)
+            # the row's own cells are encoded once, with a str.format field for
+            # each record cell; csv quotes a cell by its own text, so escaping
+            # its braces first changes no quoting
+            head = ["" if cell is None else cell.replace("{", "{{").replace("}", "}}") for cell in cells]
+            template = encode(pick((*head, ordinal, "{0}", "{1}", "{2}")))
+            # streamed line by line: a row's records run to S times its line
+            outfile.writelines(
+                template.format(site, "" if tbar is None else tbar, "" if value is None else value)
+                for site, tbar, value in triples
+            )
         report = csv.writer(rejfile, lineterminator="\n")
         report.writerow(["dstream_row", "error"])
         report.writerows(rejects)

@@ -81,6 +81,8 @@ def unpack_slots_hex(text: str, S: int, value_bits: int) -> list[int]:
     validate_value_bits(value_bits)
     if type(S) is not int:
         raise ConfigurationError(f"site count must be an int, got {type(S).__name__}")
+    if S < 0:  # before any digit count is made of it
+        raise ConfigurationError(f"site count must not be negative, got {S}")
     _check_bit_slots(S, value_bits)
     digits = hex_digest_length(S, value_bits)
     if not isinstance(text, str):

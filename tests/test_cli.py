@@ -2,6 +2,7 @@
 
 import csv
 import random
+import tracemalloc
 from operator import itemgetter
 
 import pytest
@@ -230,11 +231,28 @@ class TestExplode:
                 "0,two,steady,4,3,05010703,two,2,0,2,2,7\n"
                 "0,two,steady,4,3,05010703,two,3,0,3,,\n",
             ),
+            (
+                # cells that str.format would read as fields, a quoted \r, a
+                # quoted comma and empty cells, around a record column
+                "a,dstream_algo,dstream_S,dstream_T,dstream_value,dstream_storage_hex,b,c,d,e,f\n"
+                '{0},steady,4,3,{2},05010703,}{,{1!r},"say ""{\r}""","x,y",\n'
+                '{,tilted,4,2,v,0a0b0c00,}},"{""}",,"{0:>9}",{}\n',
+                "dstream_row,a,dstream_algo,dstream_S,dstream_T,dstream_value,dstream_storage_hex,"
+                "b,c,d,e,f,dstream_site,dstream_Tbar,dstream_value\n"
+                '0,{0},steady,4,3,5,05010703,}{,{1!r},"say ""{\r}""","x,y",,0,0,5\n'
+                '0,{0},steady,4,3,1,05010703,}{,{1!r},"say ""{\r}""","x,y",,1,1,1\n'
+                '0,{0},steady,4,3,7,05010703,}{,{1!r},"say ""{\r}""","x,y",,2,2,7\n'
+                '0,{0},steady,4,3,,05010703,}{,{1!r},"say ""{\r}""","x,y",,3,,\n'
+                '1,{,tilted,4,2,10,0a0b0c00,}},"{""}",,{0:>9},{},0,0,10\n'
+                '1,{,tilted,4,2,11,0a0b0c00,}},"{""}",,{0:>9},{},1,1,11\n'
+                '1,{,tilted,4,2,,0a0b0c00,}},"{""}",,{0:>9},{},2,,\n'
+                '1,{,tilted,4,2,,0a0b0c00,}},"{""}",,{0:>9},{},3,,\n',
+            ),
         ],
     )
     def test_output_bytes_are_frozen(self, tmp_path, text, expected):
-        # frozen from the former writer, which wrote one dict per record
-        # with csv.DictWriter
+        # frozen from the former writers: one dict per record through
+        # csv.DictWriter, then one csv.writer row per record
         src = tmp_path / "dumps.csv"
         out = tmp_path / "long.csv"
         src.write_text(text)
@@ -259,6 +277,21 @@ class TestExplode:
             assert (tmp_path / f"got{seed}.csv.rejects").read_bytes() == (
                 tmp_path / f"want{seed}.csv.rejects"
             ).read_bytes(), seed
+
+    def test_memory_does_not_grow_with_the_output(self, tmp_path):
+        # one steady S=4096 8-bit row writes 4096 records, each with the
+        # row's 8 KiB hex cell: 32 MiB, streamed, never joined per row
+        src = tmp_path / "dumps.csv"
+        out = tmp_path / "long.csv"
+        write_csv(src, DUMP_HEADER, [["steady", 4096, 10**6, "5a" * 4096, "big"]])
+        tracemalloc.start()
+        try:
+            assert main(["explode", str(src), str(out), "--value-bits", "8"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 32 << 20
+        assert peak < 4 << 20
 
     def test_one_forward_pass_per_layout(self, tmp_path, monkeypatch, capsys):
         # k rows of one tilted layout step its curator to the deepest T once
@@ -300,7 +333,9 @@ def _explode_cases(rng):
         ("steady", 256, rng.randrange(1 << 62)),
         ("steady", 256, 100),
     ]
-    lines = [f"{a},{S},{T},{dump(S)},ok\n" for a, S, T in good]
+    # labels that str.format would read as fields pass through verbatim
+    labels = ("ok", "{0}", "}{", '"{1!r},{"', "{{}}")
+    lines = [f"{a},{S},{T},{dump(S)},{labels[i % len(labels)]}\n" for i, (a, S, T) in enumerate(good)]
     lines += [
         f"tilted,16,5,{dump(16)},extra,cell\n",  # more cells than the header
         f"steady,four,8,{dump(4)},bad S\n",

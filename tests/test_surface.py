@@ -190,6 +190,10 @@ def test_unpack_examples():
     for S in ("4", None, 4.0):
         with pytest.raises(ConfigurationError, match="^site count must be an int, got "):
             unpack_slots_hex("05010703", S, 8)
+    # a digit count of -8, or -1 at 1 bit, before
+    for S, value_bits in ((-4, 8), (-4, 1), (-5, 1), (-1, 64)):
+        with pytest.raises(ConfigurationError, match=f"^site count must not be negative, got {S}$"):
+            unpack_slots_hex("", S, value_bits)
 
 
 @given(
