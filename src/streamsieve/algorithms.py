@@ -395,7 +395,8 @@ class _GreedyCurator:
     occupies, and files every item but the newest in a gap bucket:
     gap -> sorted times, where an item's gap is n = next - prev (prev = -1
     before the oldest).  step() scores the current arrival, applies the
-    outcome, and returns the selected site (None = discard).
+    outcome, and returns the selected site (None = discard).  The fill
+    only appends; the arrival that fills the buffer ``resume``s from it.
 
     Why one candidate per bucket is exact.  An interior item b scores n / w,
     where n is fixed until a neighbour is evicted and the weight w is T - b
@@ -416,11 +417,12 @@ class _GreedyCurator:
     distinct gap (about 2 more per doubling of T/S) plus O(log S) bucket
     edits and one list deletion, not an O(S) scan.
 
-    Stretched discards cost one compare: ``next_write`` is the first
-    arrival that can be written (at most the current T for tilted and
-    during the fill, when every arrival is).  Why it is exact.  Between two writes only T changes:
-    the buckets, the newest time m and every interior score g / (b + 1)
-    stay fixed, while the discard score (T - m) / (T + 1) rises with T.
+    Stretched discards cost one compare: ``next_write`` is a lower bound
+    on the next arrival that can be written, 0 while every arrival is
+    (tilted, and any profile in the fill), and raised only by _schedule.
+    Why it is exact.  Between two writes only T changes: the buckets, the
+    newest time m and every interior score g / (b + 1) stay fixed, while
+    the discard score (T - m) / (T + 1) rises with T.
     Bucket (g, b), b its newest member, beats the discard exactly when
     g * (T + 1) < (T - m) * (b + 1), i.e. T * (b + 1 - g) > g + m * (b + 1).
     If b + 1 <= g that never holds.  Otherwise it holds exactly from
@@ -455,7 +457,7 @@ class _GreedyCurator:
             buckets.setdefault(times[i + 1] - prev, []).append(times[i])
             prev = times[i]
         if self.tilted or T < self.S:
-            self.next_write = min(T, self.S)  # every arrival from here writes
+            self.next_write = 0  # every arrival from here writes
         else:
             self._schedule()
 
@@ -474,7 +476,7 @@ class _GreedyCurator:
 
     def skip_to(self, T: int) -> None:
         """Advance to arrival T, jumping from write to write while stretched
-        discards; tilted, and every profile in the fill, steps each arrival."""
+        discards; at a next_write of 0 (tilted, the fill) each arrival steps."""
         while self.T < T:
             if self.T < self.next_write:  # stretched, between two writes
                 if self.next_write >= T:
@@ -490,17 +492,13 @@ class _GreedyCurator:
             return None  # stretched, between two writes
         times = self.times
         sites = self.sites
-        buckets = self.buckets
         if T < self.S:
-            if T:  # the previous newest becomes interior
-                _rebucket(buckets, times[-1], 0, T - (times[-2] if T > 1 else -1))
             times.append(T)
             sites.append(T)
-            if T + 1 < self.S or self.tilted:
-                self.next_write = T + 1
-            else:
-                self._schedule()
+            if T + 1 == self.S:  # the buffer is full: file it, schedule
+                self.resume(T + 1, times, sites)
             return T
+        buckets = self.buckets
         last = len(times) - 1
         newest = times[last]
         # best is the winner's bucket; None while the newest item (or the

@@ -80,8 +80,11 @@ def _cmd_explode(args) -> int:
     column.update({name: width + i for i, name in enumerate(("dstream_row", *RECORD_COLUMNS))})
     out_fields = ["dstream_row", *fields, *RECORD_COLUMNS]
     pick = itemgetter(*(column[name] for name in out_fields))
-    # writerow returns what its file's write returns: here, the encoded line
-    encode = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    # writerow returns what its file's write returns: here, the encoded line.
+    # csv quotes a cell for the characters of its line terminator, so "\r\n"
+    # quotes a bare "\r" too; the line then ends in "\n" alone
+    crlf_to_lf = SimpleNamespace(write=lambda line: line[:-2] + "\n")
+    encode = csv.writer(crlf_to_lf, lineterminator="\r\n").writerow
     # open both outputs before any row is noted: the output may run to GiBs,
     # so an unwritable report fails before it is written.  The report always
     # exists, so downstream scripts can rely on it.
@@ -225,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_explode.add_argument("output", help="output CSV, one row per site")
     p_explode.add_argument(
         "--value-bits",
-        type=int,
+        type=parse_int,
         choices=VALID_VALUE_BITS,
         required=True,
         help="item width shared by every row of the file",
@@ -248,15 +251,15 @@ def _build_parser() -> argparse.ArgumentParser:
         default="steady,stretched,tilted",
         help="comma-separated algorithm tokens (default: %(default)s)",
     )
-    p_validate.add_argument("--max-S", dest="max_s", type=int, default=16)
-    p_validate.add_argument("--max-T", dest="max_t", type=int, default=256)
+    p_validate.add_argument("--max-S", dest="max_s", type=parse_int, default=16)
+    p_validate.add_argument("--max-T", dest="max_t", type=parse_int, default=256)
     p_validate.add_argument(
         "--steady-extra",
-        type=int,
+        type=parse_int,
         default=6,
         help="sampled large-T steady vectors per size (default: %(default)s)",
     )
-    p_validate.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_validate.add_argument("--seed", type=parse_int, default=DEFAULT_SEED)
     p_validate.set_defaults(func=_cmd_validate)
 
     p_bench = sub.add_parser(
@@ -271,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--algo", default="steady")
     p_bench.add_argument("--sizes", default="64,256,1024")
     p_bench.add_argument("--depths", default="0:65536", help="comma-separated lo:hi windows")
-    p_bench.add_argument("--replicates", type=int, default=10)
+    p_bench.add_argument("--replicates", type=parse_int, default=10)
     p_bench.add_argument("--output", help="write CSV here instead of stdout")
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -284,8 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_lookup.add_argument("--algo", required=True)
-    p_lookup.add_argument("--S", type=int, required=True)
-    p_lookup.add_argument("--T", type=int, required=True)
+    p_lookup.add_argument("--S", type=parse_int, required=True)
+    p_lookup.add_argument("--T", type=parse_int, required=True)
     p_lookup.set_defaults(func=_cmd_lookup)
 
     return parser

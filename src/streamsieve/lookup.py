@@ -36,6 +36,7 @@ from .algorithms import (
     TILTED,
     Algorithm,
     _GreedyCurator,
+    _clip,
     _layout,
     _refuse,
     _steady_site,
@@ -44,7 +45,7 @@ from .algorithms import (
     parse_algorithm,
     selection_stream,
 )
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 from .surface import check_dump
 
 
@@ -52,15 +53,17 @@ def lookup_replay(algo: Algorithm, S: int, T: int, at=None) -> list:
     """Last write time per site after T ingests, by replaying selections.
 
     entries[k] = max{T' < T : selection of T' includes k}, or None when the
-    site was never written.  ``at``, ascending times no later than T, asks
-    for the table at each of them instead, from the same single pass; the
-    result is then a list of tables.  Raises ReplayLimitError past the
-    practicality cap and CapacityError when T exceeds the algorithm's
-    supported length.
+    site was never written.  ``at``, a list or tuple of ascending times no
+    later than T, asks for the table at each of them instead, from the same
+    single pass; the result is then a list of tables.  Raises
+    ReplayLimitError past the practicality cap and CapacityError when T
+    exceeds the algorithm's supported length.
     """
     _layout(algo, S)
     _validate_time(T)
     _refuse(algo, S, T, None, REPLAY_CAP)
+    if at is not None and not isinstance(at, (list, tuple)):
+        raise ConfigurationError(f"need a list or tuple of replay stops, got {_clip(at)}")
     stops = [T] if at is None else list(at)
     for stop in stops:
         _validate_time(stop)

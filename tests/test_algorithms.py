@@ -692,6 +692,28 @@ def test_gap_bucket_curator_matches_scan(tilted):
         _assert_steps_match(_GreedyCurator(S, tilted), ScanCurator(S, tilted), count, (S, tilted))
 
 
+@pytest.mark.parametrize("tilted", [False, True])
+def test_a_curator_resumed_in_the_fill_matches_a_straight_one(tilted):
+    """Resumed at any T < S, a curator only appends until the arrival that
+    fills the buffer, which files it; from there on it is, step by step,
+    the curator stepped straight from 0."""
+    def state(c):
+        return c.times, c.sites, c.buckets, c.next_write
+
+    for S in (4, 8, 64):
+        for at in range(S):
+            straight = _GreedyCurator(S, tilted)
+            for _ in range(at):
+                straight.step()
+            resumed = _GreedyCurator(S, tilted)
+            resumed.resume(at, list(straight.times), list(straight.sites))
+            while straight.T < S + 21:
+                T = straight.T
+                assert resumed.step() == straight.step(), (S, at, T)
+                if T + 1 >= S:
+                    assert state(resumed) == state(straight), (S, at, T)
+
+
 @pytest.mark.parametrize("T", [2**40, 2**63], ids=["2**40", "2**63"])
 def test_gap_bucket_curator_matches_scan_at_depth(T):
     """Resumed deep in the stream, big-integer comparisons still agree."""

@@ -10,7 +10,7 @@ import pytest
 from streamsieve import REPLAY_CAP, explode_row
 from streamsieve.algorithms import MAX_STEADY_T, _GreedyCurator, parse_int
 from streamsieve.benchmark import BENCH_FIELDS
-from streamsieve.cli import main
+from streamsieve.cli import RECORD_COLUMNS, main
 
 
 def write_csv(path, header, rows):
@@ -259,6 +259,25 @@ class TestExplode:
         assert main(["explode", str(src), str(out), "--value-bits", "8"]) == 0
         with open(out, newline="") as fileobj:
             assert fileobj.read() == expected
+
+    def test_a_bare_carriage_return_reads_back(self, tmp_path):
+        # csv quotes a cell for the characters of its line terminator; a
+        # bare \r written unquoted splits the record when it is read back
+        src = tmp_path / "dumps.csv"
+        out = tmp_path / "long.csv"
+        src.write_text(
+            'dstream_algo,dstream_S,dstream_T,dstream_storage_hex,"la\rbel"\n'
+            'steady,4,8,05010703,"cr\rhere"\n'
+            'tilted,4,2,0a0b0c00,"\r"\n',
+            newline="",
+        )
+        assert main(["explode", str(src), str(out), "--value-bits", "8"]) == 0
+        with open(out, newline="") as fileobj:
+            rows = list(csv.reader(fileobj))
+        assert rows[0] == ["dstream_row", *DUMP_HEADER[:4], "la\rbel", *RECORD_COLUMNS]
+        assert [row[5] for row in rows[1:]] == ["cr\rhere"] * 4 + ["\r"] * 4
+        assert rows[1] == ["0", "steady", "4", "8", "05010703", "cr\rhere", "0", "5", "5"]
+        assert rows[8] == ["1", "tilted", "4", "2", "0a0b0c00", "\r", "3", "", ""]
 
     def test_matches_one_explode_row_per_row(self, tmp_path, capsys):
         """The batch writes the bytes that one explode_row call per row, in
@@ -635,3 +654,39 @@ def test_no_arguments_is_usage_error(capsys):
 
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 2
+
+
+# each integer flag: its argv with {} for the value, then legal values and
+# the exit status each gives; {dir} is the test's directory
+_GENERATE = ["validate", "--generate", "{dir}/v.csv", "--algos", "steady"]
+_INTEGER_FLAGS = {
+    "lookup-S": (["lookup", "--algo", "steady", "--S", "{}", "--T", "8"], {"4": 0, "8": 0}),
+    "lookup-T": (["lookup", "--algo", "steady", "--S", "4", "--T", "{}"], {"8": 0, "-1": 1}),
+    "validate-max-S": ([*_GENERATE, "--max-S", "{}"], {"8": 0, "-1": 0}),
+    "validate-max-T": ([*_GENERATE, "--max-T", "{}"], {"8": 0, "-1": 0}),
+    "validate-steady-extra": ([*_GENERATE, "--steady-extra", "{}"], {"8": 0, "-1": 0}),
+    "validate-seed": ([*_GENERATE, "--seed", "{}"], {"8": 0, "-1": 0}),
+    "bench-replicates": (
+        ["bench", "--sizes", "8", "--depths", "0:8", "--replicates", "{}"], {"1": 0, "-1": 2}
+    ),
+    "explode-value-bits": (
+        ["explode", "{dir}/in.csv", "{dir}/out.csv", "--value-bits", "{}"], {"8": 0, "16": 1}
+    ),
+}
+
+
+@pytest.mark.parametrize("flag", list(_INTEGER_FLAGS))
+def test_integer_flags_are_ascii_digits(flag, tmp_path, capsys):
+    """Every integer flag reads as CSV cells and bench --sizes do: ASCII
+    digits with at most one leading '-'; what int alone takes is refused."""
+    write_csv(tmp_path / "in.csv", DUMP_HEADER, [["steady", 4, 8, "05010703", "alpha"]])
+    template, legal = _INTEGER_FLAGS[flag]
+
+    def argv(value):
+        return [arg.format(value, dir=tmp_path) for arg in template]
+
+    for value in ("+8", "1_6", " 8"):
+        assert main(argv(value)) == 2, value
+        assert f"invalid parse_int value: {value!r}" in capsys.readouterr().err
+    for value, status in legal.items():
+        assert main(argv(value)) == status, value

@@ -210,9 +210,11 @@ def test_replay_stops_match_separate_replays():
         assert lookup_replay(algo, S, 200, at=[]) == []
 
 
-@pytest.mark.parametrize("stops", [[5, 4], [0, 201], [-1, 3], [1.0], ["3"]])
+@pytest.mark.parametrize("stops", [[5, 4], [0, 201], [-1, 3], [1.0], ["3"], 5, iter([3])])
 def test_replay_stops_must_ascend_within_T(stops):
-    with pytest.raises(DomainError):
+    # stops that are not a list or tuple are refused before any is read
+    error = DomainError if isinstance(stops, list) else ConfigurationError
+    with pytest.raises(error):
         lookup_replay(TILTED, 8, 200, at=stops)
 
 
