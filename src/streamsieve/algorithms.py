@@ -38,10 +38,11 @@ a write compares one candidate per distinct gap.  Tilted writes every
 arrival.  Stretched writes rarely, and its state changes only in T between
 two writes, so the next write time is solved for after each write; a
 discard costs one compare, and a lookup or a reload jumps from write to
-write.  Sequential callers step a ``Selector``, which validates (algo, S)
-once and owns its curators; a reload seeks a fresh one to T.  Only the
-pointwise ``site_selection``/``*_assign`` go through a lock-guarded
-per-(profile, S) replay memo.
+write.  Every sequential caller in the package (ingest, reload, lookup,
+explode, vector generation) steps a ``Selector``, which validates (algo, S)
+once and owns its curators, or a curator of its own.  Only the pointwise
+``site_selection``/``*_assign``, and so ``check_vectors``, go through a
+lock-guarded per-(profile, S) replay memo.
 
 ``_layout(algo, S)`` alone validates (algo, S) and decides how far it
 goes: with a greedy segment, capacity 2**size - 2 for the smallest one

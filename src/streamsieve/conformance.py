@@ -1,25 +1,27 @@
 """Conformance vectors: freeze selections to a file, re-check them later.
 
-A vector row is (algorithm token, S, T, expected sites).  generate walks an
-exhaustive (S, T) grid per algorithm, capping T where an algorithm's
-supported stream length is shorter, and adds a seeded sample of large-T
-steady cases so the closed-form path gets exercised far past the grid.
-check recomputes every row; output is byte-deterministic for fixed flags.
+A vector row is (algorithm token, S, T, expected sites).  generate walks
+each layout forward once with a ``Selector``: every T of a grid capped at
+the layout's capacity, then for steady a seeded sample of large T that the
+walk seeks to, exercising the closed form far past the grid.  check
+recomputes each row pointwise; output is byte-deterministic for fixed flags.
 """
 
 from __future__ import annotations
 
 import csv
 import random
+from itertools import chain
 from typing import NamedTuple
 
 from .algorithms import (
     MIN_SITE_COUNT,
+    Selector,
     _clip,
+    _refuse,
     parse_algorithm,
     parse_int,
     site_selection,
-    stream_capacity,
 )
 from .errors import DomainError, StreamSieveError, VectorFormatError
 
@@ -59,31 +61,32 @@ def generate_vectors(
 
     ``algos`` is a sequence of algorithm tokens.  For each algorithm the
     grid covers every power-of-two S in [4, max_s] (a hybrid instead uses
-    its own total) and every T in [0, min(max_t, supported length)).
+    its own total) and every T in [0, min(max_t, capacity)).
     ``steady_extra`` large-T rows per steady S are drawn from
-    [max_t, max_t + 2**48) with the given seed.  The three bounds must be
-    ints; DomainError names the first that is not (1.0 and True are not).
+    [max_t, max_t + 2**48) with the given seed.  Each layout is one
+    ``Selector`` walk, refused for its last row before its first is built.
+    DomainError names the first bound that is not an int (1.0 and True are
+    not), or a negative max_t.
     """
     for name, bound in (("max_s", max_s), ("max_t", max_t), ("steady_extra", steady_extra)):
         if type(bound) is not int:
             raise DomainError(f"{name} must be an integer, got {_clip(bound)}")
+    if max_t < 0:
+        raise DomainError("max_t must not be negative")
     rng = random.Random(seed)
     vectors: list[TestVector] = []
     for token in algos:
         algo = parse_algorithm(token)
         for S in _grid_sizes(algo, max_s):
-            cap = stream_capacity(algo, S)
-            t_hi = max_t if cap is None else min(max_t, cap)
-            for T in range(t_hi):
-                expected = tuple(sorted(site_selection(algo, S, T)))
-                vectors.append(TestVector(token, S, T, expected))
-            if algo.kind == "steady" and steady_extra > 0:
-                for T in sorted(
-                    rng.randrange(max_t, max_t + LARGE_T_SPAN)
-                    for _ in range(steady_extra)
-                ):
-                    expected = tuple(sorted(site_selection(algo, S, T)))
-                    vectors.append(TestVector(token, S, T, expected))
+            selector = Selector(algo, S)
+            grid = range(max_t if selector.capacity is None else min(max_t, selector.capacity))
+            draws = steady_extra if algo.kind == "steady" else 0
+            extra = sorted(rng.randrange(max_t, max_t + LARGE_T_SPAN) for _ in range(draws))
+            last = extra[-1] if extra else grid[-1] if grid else -1
+            _refuse(algo, S, last + 1, selector.capacity, selector.reload_limit)
+            for T in chain(grid, extra):
+                selector.seek(T)
+                vectors.append(TestVector(token, S, T, selector.step()))
     return vectors
 
 
@@ -135,32 +138,27 @@ def write_vectors_csv(fileobj, vectors) -> None:
 
 
 def read_vectors_csv(fileobj) -> list[TestVector]:
+    """Read a vector file.  A VectorFormatError names the physical line that
+    a bad row ends on, as csv counts them: a quoted cell may span lines."""
     reader = csv.reader(fileobj)
+    vectors = []
     try:
-        return _read_vectors(reader)
+        header = next(reader, None)
+        if header is None:
+            raise VectorFormatError("empty vector file")
+        if tuple(header) != VECTOR_FIELDS:
+            raise VectorFormatError(f"expected header {list(VECTOR_FIELDS)}, got {header!r}")
+        for row in reader:
+            if len(row) != len(VECTOR_FIELDS):
+                raise VectorFormatError(f"line {reader.line_num}: expected 4 fields, got {row!r}")
+            token, s_text, t_text, sites_text = row
+            try:
+                S = parse_int(s_text)
+                T = parse_int(t_text)
+                expected = tuple([parse_int(part) for part in sites_text.split(";") if part])
+            except ValueError as exc:
+                raise VectorFormatError(f"line {reader.line_num}: {exc}") from None
+            vectors.append(TestVector(token, S, T, expected))
     except csv.Error as exc:
         raise VectorFormatError(f"line {reader.line_num}: {exc}") from None
-
-
-def _read_vectors(reader) -> list[TestVector]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise VectorFormatError("empty vector file") from None
-    if tuple(header) != VECTOR_FIELDS:
-        raise VectorFormatError(
-            f"expected header {list(VECTOR_FIELDS)}, got {header!r}"
-        )
-    vectors = []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(VECTOR_FIELDS):
-            raise VectorFormatError(f"line {lineno}: expected 4 fields, got {row!r}")
-        token, s_text, t_text, sites_text = row
-        try:
-            S = parse_int(s_text)
-            T = parse_int(t_text)
-            expected = tuple([parse_int(part) for part in sites_text.split(";") if part])
-        except ValueError as exc:
-            raise VectorFormatError(f"line {lineno}: {exc}") from None
-        vectors.append(TestVector(token, S, T, expected))
     return vectors

@@ -663,7 +663,7 @@ _INTEGER_FLAGS = {
     "lookup-S": (["lookup", "--algo", "steady", "--S", "{}", "--T", "8"], {"4": 0, "8": 0}),
     "lookup-T": (["lookup", "--algo", "steady", "--S", "4", "--T", "{}"], {"8": 0, "-1": 1}),
     "validate-max-S": ([*_GENERATE, "--max-S", "{}"], {"8": 0, "-1": 0}),
-    "validate-max-T": ([*_GENERATE, "--max-T", "{}"], {"8": 0, "-1": 0}),
+    "validate-max-T": ([*_GENERATE, "--max-T", "{}"], {"8": 0, "-1": 2}),
     "validate-steady-extra": ([*_GENERATE, "--steady-extra", "{}"], {"8": 0, "-1": 0}),
     "validate-seed": ([*_GENERATE, "--seed", "{}"], {"8": 0, "-1": 0}),
     "bench-replicates": (

@@ -1,9 +1,11 @@
 import io
+import time
 
 import pytest
 
 from streamsieve import (
     DomainError,
+    ReplayLimitError,
     TestVector,
     VectorFormatError,
     check_vectors,
@@ -12,7 +14,7 @@ from streamsieve import (
     read_vectors_csv,
     write_vectors_csv,
 )
-from streamsieve import conformance
+from streamsieve import algorithms, conformance
 from streamsieve.conformance import DEFAULT_SEED
 
 # suppress the collector's "Test*" class warning for the NamedTuple re-export
@@ -81,6 +83,40 @@ def test_bounds_must_be_ints(max_t, steady_extra):
     # a TypeError from range(), or one vector for max_t=True, before
     with pytest.raises(DomainError, match="must be an integer"):
         generate_vectors(["steady"], 4, max_t, steady_extra)
+
+
+def test_a_negative_max_t_is_refused_before_any_row():
+    # it drew the large-T rows from [-1, 2**48 - 1) and wrote them, before
+    with pytest.raises(DomainError, match="max_t must not be negative"):
+        generate_vectors(["steady"], 4, -1, 50)
+
+
+def test_generation_leaves_the_replay_memo_empty():
+    # each layout is walked by its own Selector, not replayed through the memo
+    algorithms._clear_replay_memos()
+    vectors = generate_vectors(
+        ["stretched", "tilted", "hybrid(steady:4+stretched:4+tilted:8)"], 16, 300, 4
+    )
+    assert len(vectors) == 14 + 254 + 300 + 14 + 254 + 300 + 14
+    assert algorithms._replay_memos == {}
+
+
+def test_a_too_deep_greedy_layout_is_refused_before_its_first_row(monkeypatch):
+    # S=4, 8 and 16 stop at their capacity; S=32 is past the replay limit at
+    # its last row, T = 2**22, and is refused before it builds row 0
+    built = []
+
+    def row(token, S, T, expected):
+        assert S <= 16, f"built row T={T} of the refused S={S} layout"
+        built.append(time.perf_counter())
+        return TestVector(token, S, T, expected)
+
+    monkeypatch.setattr(conformance, "TestVector", row)
+    refused = "S=32 is capped at 4194304 arrivals, asked for 4194305"
+    with pytest.raises(ReplayLimitError, match=refused):
+        generate_vectors(["tilted"], 64, 2**22 + 1, 0)
+    assert time.perf_counter() - built[-1] < 1
+    assert len(built) == 14 + 254 + 65534
 
 
 def test_check_is_reflexive():
@@ -224,6 +260,15 @@ def test_read_rejects_malformed_files():
         read_vectors_csv(io.StringIO("algo,S,T,expected_sites\nsteady,four,0,0\n"))
     with pytest.raises(VectorFormatError):
         read_vectors_csv(io.StringIO("algo,S,T,expected_sites\nsteady,4,0,a;b\n"))
+
+
+def test_a_bad_cell_names_its_physical_line():
+    # the quoted token spans lines 2 and 3, so the bad T is on line 4
+    text = 'algo,S,T,expected_sites\n"stea\ndy",4,0,0\nsteady,4,x,0\n'
+    with pytest.raises(VectorFormatError, match="^line 4: expected an integer"):
+        read_vectors_csv(io.StringIO(text))
+    with pytest.raises(VectorFormatError, match="^line 4: expected 4 fields"):
+        read_vectors_csv(io.StringIO(text.replace("x,0", "0")))
 
 
 def test_empty_expected_round_trips():

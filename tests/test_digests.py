@@ -1,11 +1,12 @@
 """Frozen selection digests: one fixed corpus that every port can reproduce.
 
-A digest is the sha256 of one line per selection, each the selection's
-``expected_sites`` cell in the vector CSV (sites ascending, joined by ';',
-empty for a discard) followed by '\\n'.  The in-repo oracles stop at small
-S; these pin what the greedy curator selects up to S=1024 against itself as
-it is today.  A digest changes only with a CHANGES.md entry that says why;
-never regenerate one to make a test pass.
+A selection digest is the sha256 of one line per selection, each the
+selection's ``expected_sites`` cell in the vector CSV (sites ascending,
+joined by ';', empty for a discard) followed by '\\n'; a packed-hex digest
+hashes one dump per line, and the vector file's digest its bytes.  The
+in-repo oracles stop at small S; these pin what the greedy curator selects
+up to S=1024 against itself as it is today.  A digest changes only with a
+CHANGES.md entry that says why; never regenerate one to make a test pass.
 """
 
 import hashlib
@@ -31,10 +32,6 @@ GOLDEN = 0x9E3779B97F4A7C15
 
 def _digest(lines) -> str:
     return hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
-
-
-def _cells(selections):
-    return (";".join(map(str, sites)) for sites in selections)
 
 
 def _weyl(k: int) -> int:
@@ -69,7 +66,8 @@ def test_greedy_selections_are_frozen(token, S):
     # every arrival from T=0 to min(capacity, 2**15): 492 056 in all
     algo = parse_algorithm(token)
     count = min(stream_capacity(algo, S), GREEDY_ARRIVALS)
-    assert _digest(_cells(selection_stream(algo, S, count))) == GREEDY[token, S]
+    cells = (";".join(map(str, sites)) for sites in selection_stream(algo, S, count))
+    assert _digest(cells) == GREEDY[token, S]
 
 
 STEADY_DEEP = "57bc95bd511bdcf9b0f9ed6cd554035753fa5e1b4563b0e956b3b5ed0ec26401"
