@@ -70,6 +70,10 @@ ROWS = [
     ("all-steady hybrid lookup at T=2**64-1", 5,
      ["streamsieve", "lookup", "--algo", "hybrid(steady:4+steady:4)", "--S", "8",
       "--T", "18446744073709551615"], None),
+    # the steady lookup resolves at most 2S arrivals, each in O(1): 2**21 here
+    ("steady S=2**20 lookup at T=2**64-1", 5,
+     ["streamsieve", "lookup", "--algo", "steady", "--S", "1048576", "--T", "18446744073709551615"],
+     None),
     ("all-steady hybrid reload at T=2**64-1", 5, _reload(
         "from streamsieve import Surface, parse_algorithm\n"
         "Surface.from_hex(parse_algorithm('hybrid(steady:4+steady:4)'), 8, 2**64 - 1, 8, '00' * 8)"),

@@ -20,8 +20,9 @@ curates the full stream independently inside its own slice of sites.
 
 The steady rule is closed form.  With s = log2(S), epoch
 t = max(bit_length(T) - s, 0) and h = trailing zeros of T+1: an arrival
-discards when h < t, fills site T during epoch 0, and otherwise inherits
-the site of a well-defined expired item, resolved in O(log T) steps.
+discards when h < t, and otherwise goes to site T mod (S+1), in O(1):
+site T during epoch 0, later the site of the expired item it takes over
+(``steady_assign`` shows why).
 
 The stretched and tilted rules are greedy.  Once the identity fill is over,
 each arrival scores every retained item b as (gap left by removing b) over
@@ -66,7 +67,7 @@ from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from .errors import CapacityError, ConfigurationError, DomainError, ReplayLimitError
+from .errors import CapacityError, ConfigurationError, DomainError, ReplayLimitError, _clip
 
 MIN_SITE_COUNT = 4
 MAX_SITE_COUNT = 1 << 20
@@ -91,26 +92,13 @@ def validate_site_count(S: int) -> None:
         or S & (S - 1)
     ):
         raise ConfigurationError(
-            f"site count must be a power of two in [{MIN_SITE_COUNT}, 2**20], got {S!r}"
+            f"site count must be a power of two in [{MIN_SITE_COUNT}, 2**20], got {_clip(S)}"
         )
 
 
 def _validate_time(T: int) -> None:
     if not isinstance(T, int) or isinstance(T, bool) or T < 0:
-        raise DomainError(f"ingest counter must be a non-negative integer, got {T!r}")
-
-
-# characters of a rejected value's repr that an error message repeats
-_ECHO_LIMIT = 32
-
-
-def _clip(value) -> str:
-    # repr of a rejected value; a bad token may be megabytes long, so a
-    # long one is cut to its start and its length
-    text = repr(value)
-    if len(text) <= _ECHO_LIMIT:
-        return text
-    return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
+        raise DomainError(f"ingest counter must be a non-negative integer, got {_clip(T)}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +132,7 @@ class Algorithm:
                 raise ConfigurationError("hybrid needs at least two segments")
             for seg in self.segments:
                 if not (isinstance(seg, tuple) and len(seg) == 2):
-                    raise ConfigurationError(f"bad hybrid segment {seg!r}")
+                    raise ConfigurationError(f"bad hybrid segment {_clip(seg)}")
                 sub_kind, sub_size = seg
                 if sub_kind not in SCALAR_KINDS:
                     raise ConfigurationError(
@@ -221,7 +209,7 @@ def parse_algorithm(text: str) -> Algorithm:
     ``parse_int``, as the CSV cells around the token are.
     """
     if not isinstance(text, str):
-        raise ConfigurationError(f"algorithm token must be a string, got {text!r}")
+        raise ConfigurationError(f"algorithm token must be a string, got {_clip(text)}")
     if text in SCALAR_KINDS:
         return Algorithm(text)
     if text.startswith("hybrid(") and text.endswith(")"):
@@ -302,7 +290,7 @@ def _layout(algo: Algorithm, S: int) -> tuple[tuple[tuple[str, int, int], ...], 
     ``Algorithm`` builds it, and then handed back.
     """
     if not isinstance(algo, Algorithm):
-        raise ConfigurationError(f"expected an Algorithm, got {algo!r}")
+        raise ConfigurationError(f"expected an Algorithm, got {_clip(algo)}")
     if algo._resolved is not None:
         validate_site_count(S)
         if algo.total_sites != S:
@@ -344,11 +332,11 @@ def _refuse(algo: Algorithm, S: int, count: int, capacity: int | None, limit: in
     # the one check on an arrival count: the limit, then capacity
     if limit is not None and count > limit:
         raise ReplayLimitError(
-            f"{algo} with S={S} is capped at {limit} arrivals, asked for {count}"
+            f"{algo} with S={S} is capped at {limit} arrivals, asked for {_clip(count)}"
         )
     if capacity is not None and count > capacity:
         raise CapacityError(
-            f"{algo} with S={S} supports at most {capacity} ingests, asked for {count}"
+            f"{algo} with S={S} supports at most {capacity} ingests, asked for {_clip(count)}"
         )
 
 
@@ -359,10 +347,13 @@ def _refuse(algo: Algorithm, S: int, count: int, capacity: int | None, limit: in
 def steady_assign(S: int, T: int) -> int | None:
     """Site for arrival T under the steady rule, or None to discard.
 
-    Epoch 0 fills site T directly.  Later epochs store only arrivals whose
-    hanoi value reaches the epoch; each such arrival takes over the site of
-    the expired item with hanoi value t-1 and matching incidence, which the
-    loop below resolves by walking down one epoch per step.
+    Epoch 0 fills site T directly.  Epoch t >= 1 stores only arrivals whose
+    hanoi value reaches t; the i-th of them, T + 1 = (S/2 + 1 + i) * 2**t
+    with 0 <= i < S/2, takes over the site of the expired item of hanoi
+    value t-1 and matching incidence, X = (2i+1) * 2**(t-1) - 1.  That is
+    X = T - (S+1) * 2**(t-1), an item of an earlier epoch.  So, by
+    induction on the epoch, a stored arrival sits at a site congruent to T
+    mod S+1, and sites lie in [0, S): the site is T mod (S+1).
     """
     validate_site_count(S)
     _validate_time(T)
@@ -370,19 +361,10 @@ def steady_assign(S: int, T: int) -> int | None:
 
 
 def _steady_site(S: int, T: int) -> int | None:
-    s = S.bit_length() - 1
-    t = T.bit_length() - s
-    if t <= 0:
-        return T
-    u = T + 1
-    if u & ((1 << t) - 1):
+    t = T.bit_length() - (S.bit_length() - 1)
+    if t > 0 and (T + 1) & ((1 << t) - 1):
         return None  # hanoi value below epoch: discard
-    half = S >> 1
-    while t > 0:
-        i = (u >> t) - half - 1
-        u = (2 * i + 1) << (t - 1)  # successor of the expired item
-        t = (u - 1).bit_length() - s
-    return u - 1
+    return T % (S + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +664,7 @@ class Selector:
         ascending Ts for the cost of the deepest; T below the current T
         raises DomainError.  Callers refuse T past the reload limit."""
         if T < self.T:
-            raise DomainError(f"a selector at T={self.T} cannot seek back to T={T}")
+            raise DomainError(f"a selector at T={self.T} cannot seek back to T={_clip(T)}")
         self.T = T
         for _, _, curator in self._parts:
             if curator is not None:
@@ -697,7 +679,7 @@ def selection_stream(algo: Algorithm, S: int, count: int):
     """
     selector = Selector(algo, S)
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise DomainError(f"count must be a non-negative integer, got {count!r}")
+        raise DomainError(f"count must be a non-negative integer, got {_clip(count)}")
     _refuse(algo, S, count, selector.capacity, None)
     step = selector.step
     return (step() for _ in range(count))

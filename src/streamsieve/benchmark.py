@@ -15,8 +15,8 @@ from __future__ import annotations
 from time import perf_counter_ns
 from typing import NamedTuple
 
-from .algorithms import Algorithm, Selector, _clip, _layout, _refuse
-from .errors import ConfigurationError, DomainError
+from .algorithms import Algorithm, Selector, _layout, _refuse
+from .errors import ConfigurationError, DomainError, _clip
 
 
 class BenchResult(NamedTuple):
@@ -40,7 +40,7 @@ def _validate_window(algo: Algorithm, S: int, window) -> tuple[int, int]:
     except (TypeError, ValueError):  # not a pair
         t_lo = t_hi = None
     if not (type(t_lo) is int and type(t_hi) is int) or t_lo < 0 or t_hi <= t_lo:
-        raise DomainError(f"bad depth window {window!r}")
+        raise DomainError(f"bad depth window {_clip(window)}")
     _refuse(algo, S, t_hi, capacity, limit)
     return t_lo, t_hi
 
@@ -64,7 +64,7 @@ def run_benchmark(algo: Algorithm, sizes, windows, replicates: int) -> list[Benc
     Returns one row per (S, window, replicate), in that nesting order.
     """
     if type(replicates) is not int or replicates < 1:
-        raise DomainError(f"replicates must be a positive integer, got {replicates!r}")
+        raise DomainError(f"replicates must be a positive integer, got {_clip(replicates)}")
     if not isinstance(sizes, (list, tuple)) or not sizes:
         raise ConfigurationError(f"need a list or tuple of at least one size, got {_clip(sizes)}")
     # an iterator would be spent on the first size and skip the rest

@@ -201,8 +201,8 @@ def _cmd_lookup(args) -> int:
     except ValueError as exc:  # refused: the limit, capacity or a bad T
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for site, tbar in enumerate(entries):
-        print(f"{site}\t{'' if tbar is None else tbar}")
+    # one writelines, not a print per line: S=2**20 is 2**20 lines
+    sys.stdout.writelines(f"{k}\t{'' if t is None else t}\n" for k, t in enumerate(entries))
     return 0
 
 

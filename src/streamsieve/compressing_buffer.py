@@ -14,7 +14,7 @@ between retained indices is at most 2m <= 4T/n.
 
 from __future__ import annotations
 
-from .errors import ConfigurationError, SequenceError
+from .errors import ConfigurationError, SequenceError, _clip
 
 
 class CompressingBuffer:
@@ -34,7 +34,7 @@ class CompressingBuffer:
             or capacity % 2
         ):
             raise ConfigurationError(
-                f"capacity must be an even integer >= 2, got {capacity!r}"
+                f"capacity must be an even integer >= 2, got {_clip(capacity)}"
             )
         self.capacity = capacity
         self.interval = 1
@@ -48,7 +48,7 @@ class CompressingBuffer:
         else, such as 0.0 or False, raises SequenceError.
         """
         if type(T) is not int or T != self._next:
-            raise SequenceError(f"expected index {self._next}, got {T!r}")
+            raise SequenceError(f"expected index {self._next}, got {_clip(T)}")
         self._next += 1
         m = self.interval
         if T % m:

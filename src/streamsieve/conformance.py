@@ -17,13 +17,12 @@ from typing import NamedTuple
 from .algorithms import (
     MIN_SITE_COUNT,
     Selector,
-    _clip,
     _refuse,
     parse_algorithm,
     parse_int,
     site_selection,
 )
-from .errors import DomainError, StreamSieveError, VectorFormatError
+from .errors import DomainError, StreamSieveError, VectorFormatError, _clip
 
 VECTOR_FIELDS = ("algo", "S", "T", "expected_sites")
 

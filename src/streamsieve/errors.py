@@ -37,3 +37,21 @@ class SequenceError(StreamSieveError):
 
 class VectorFormatError(StreamSieveError):
     """A conformance vector file is structurally malformed."""
+
+
+# characters of a rejected value's repr that an error message repeats
+_ECHO_LIMIT = 32
+
+
+def _clip(value) -> str:
+    # repr of a rejected value; a bad token may be megabytes long, so a
+    # long one is cut to its start and its length.  An int past 100 bits
+    # (31 digits) is told by its sign and bit length: past the interpreter's
+    # 4 300-digit limit its repr raises ValueError, and short of it costs
+    # time quadratic in the digits.
+    if isinstance(value, int) and value.bit_length() > 100:
+        return f"a {'negative' if value < 0 else 'positive'} int of {value.bit_length()} bits"
+    text = repr(value)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"

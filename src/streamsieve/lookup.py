@@ -10,8 +10,8 @@ scalar rule is one segment), each by its cheapest route:
 
 * steady -- ``lookup_steady_fast`` resolves only the at most 2S arrivals
   that can still be retained (those whose hanoi value reaches one below
-  the current epoch), which is O(S * log T) and practical at any depth up
-  to 2**64 - 1, where replay is not;
+  the current epoch), each in O(1), so it is O(S) at any depth up to
+  2**64 - 1, where replay is not;
 * stretched -- a curator jumps from write to write, skipping every
   discard, so the cost follows the number of writes, not T;
 * tilted -- never discards, so it replays with ``lookup_replay``.
@@ -36,7 +36,6 @@ from .algorithms import (
     TILTED,
     Algorithm,
     _GreedyCurator,
-    _clip,
     _layout,
     _refuse,
     _steady_site,
@@ -45,7 +44,7 @@ from .algorithms import (
     parse_algorithm,
     selection_stream,
 )
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, _clip
 from .surface import check_dump
 
 
@@ -84,7 +83,7 @@ def lookup_replay(algo: Algorithm, S: int, T: int, at=None) -> list:
 
 
 def lookup_steady_fast(S: int, T: int) -> list:
-    """Steady lookup table without replay, in O(S * log T).
+    """Steady lookup table without replay, in O(S).
 
     Only arrivals that can still be retained are visited.  For T >= 1 let
     t = epoch(S, T - 1), the last arrival's epoch.  Every item retained
@@ -93,15 +92,15 @@ def lookup_steady_fast(S: int, T: int) -> list:
     T <= S * 2**t.  They are resolved with ``_steady_site`` in ascending
     order, discards skipped.  Each site's last writer is a candidate and
     nothing later writes that site, so the last write wins.  Each
-    resolution walks down at most t epochs.  T past the steady limit,
-    2**64 - 1, raises ReplayLimitError, as on every other path.
+    resolution is one discard test and T' mod (S+1).  T past the steady
+    limit, 2**64 - 1, raises ReplayLimitError, as on every other path.
 
     Why retained implies hanoi >= t - 1.  Epoch u >= 1 spans arrivals
     [S * 2**(u-1), S * 2**u) and stores exactly those with 2**u | T'+1,
     S/2 of them.  The i-th of them (i = (T'+1) / 2**u - S/2 - 1, so
-    0 <= i < S/2) goes to the site of X_i = (2i+1) * 2**(u-1) - 1:
-    one pass of the loop in ``_steady_site`` leaves it where the call for
-    X_i starts.  Let A_u be the S arrivals T' < S * 2**(u-1) with
+    0 <= i < S/2) goes to the site of X_i = (2i+1) * 2**(u-1) - 1, since
+    T' - X_i = (S+1) * 2**(u-1) and a stored arrival sits at its time mod
+    S+1 (``steady_assign``).  Let A_u be the S arrivals T' < S * 2**(u-1) with
     2**(u-1) | T'+1.  By induction on u, the buffer holds exactly A_u, one
     item per site, when epoch u begins.  A_1 is the epoch-0 fill.  The
     X_i are exactly A_u's S/2 items of hanoi value u - 1, so epoch u

@@ -14,12 +14,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, _clip
 
 
 def _check_site_count(S: int) -> None:
     if not isinstance(S, int) or isinstance(S, bool) or S < 2 or S & (S - 1):
-        raise ConfigurationError(f"site count must be a power of two >= 2, got {S!r}")
+        raise ConfigurationError(f"site count must be a power of two >= 2, got {_clip(S)}")
 
 
 def needed_set_steady(S: int, T: int) -> set[int]:
@@ -31,7 +31,7 @@ def needed_set_steady(S: int, T: int) -> set[int]:
     """
     _check_site_count(S)
     if not isinstance(T, int) or isinstance(T, bool) or T < 1:
-        raise DomainError(f"horizon must be a positive integer, got {T!r}")
+        raise DomainError(f"horizon must be a positive integer, got {_clip(T)}")
     t = max(T.bit_length() - (S.bit_length() - 1), 0)
     step = 1 << t
     return set(range(step - 1, T, step))
@@ -51,7 +51,7 @@ def check_steady_gap(retained, S: int, T: int) -> GapCheck:
     """
     _check_site_count(S)
     if not isinstance(T, int) or isinstance(T, bool) or T < 1:
-        raise DomainError(f"horizon must be a positive integer, got {T!r}")
+        raise DomainError(f"horizon must be a positive integer, got {_clip(T)}")
     seq = [-1, *sorted(retained), T]
     max_gap = max(b - a for a, b in zip(seq, seq[1:]))
     passed = max_gap <= 1 or max_gap * S <= 2 * T
@@ -66,9 +66,9 @@ def window_coverage_metric(retained, T: int, mode: str) -> float:
     lying fully inside [1, T] count.
     """
     if mode not in ("age", "depth"):
-        raise ConfigurationError(f"mode must be 'age' or 'depth', got {mode!r}")
+        raise ConfigurationError(f"mode must be 'age' or 'depth', got {_clip(mode)}")
     if not isinstance(T, int) or isinstance(T, bool) or T < 2:
-        raise DomainError(f"horizon must be an integer >= 2, got {T!r}")
+        raise DomainError(f"horizon must be an integer >= 2, got {_clip(T)}")
     windows = (T + 1).bit_length() - 1  # j with 2**(j+1) - 1 <= T
     covered = set()
     for x in retained:
@@ -88,9 +88,9 @@ def density_monotonicity_check(retained, T: int, direction: str, slack: int) -> 
     direction "tilted": the reverse.
     """
     if direction not in ("stretched", "tilted"):
-        raise ConfigurationError(f"direction must be 'stretched' or 'tilted', got {direction!r}")
+        raise ConfigurationError(f"direction must be 'stretched' or 'tilted', got {_clip(direction)}")
     if not isinstance(T, int) or isinstance(T, bool) or T < 8:
-        raise DomainError(f"horizon must be an integer >= 8, got {T!r}")
+        raise DomainError(f"horizon must be an integer >= 8, got {_clip(T)}")
     bounds = [T * w // 8 for w in range(9)]
     counts = [0] * 8
     for x in retained:

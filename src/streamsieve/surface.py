@@ -18,7 +18,7 @@ import string
 import struct
 
 from .algorithms import Algorithm, Selector, _layout, _refuse, _validate_time, has_ingest_capacity
-from .errors import ConfigurationError, DomainError, HexFormatError
+from .errors import ConfigurationError, DomainError, HexFormatError, _clip
 
 VALID_VALUE_BITS = (1, 8, 16, 32, 64)
 
@@ -34,7 +34,7 @@ def validate_value_bits(value_bits: int) -> None:
     # 8.0 and True compare equal to legal widths, but are not widths
     if type(value_bits) is not int or value_bits not in VALID_VALUE_BITS:
         raise ConfigurationError(
-            f"item width must be one of {VALID_VALUE_BITS}, got {value_bits!r}"
+            f"item width must be one of {VALID_VALUE_BITS}, got {_clip(value_bits)}"
         )
 
 
@@ -45,7 +45,7 @@ def hex_digest_length(S: int, value_bits: int) -> int:
 def _check_bit_slots(count: int, value_bits: int) -> None:
     # a hex digit holds 4 one-bit slots; any other count has no digest
     if value_bits == 1 and count % 4:
-        raise ConfigurationError(f"1-bit slots come in fours, got {count}")
+        raise ConfigurationError(f"1-bit slots come in fours, got {_clip(count)}")
 
 
 def pack_slots_hex(slots, value_bits: int) -> str:
@@ -63,7 +63,7 @@ def pack_slots_hex(slots, value_bits: int) -> str:
     # the type scan runs in C, a few percent of the packing loop below
     if not {int}.issuperset(map(type, slots)) or min(slots) < 0 or max(slots) >> value_bits:
         k = next(k for k, v in enumerate(slots) if type(v) is not int or v < 0 or v >> value_bits)
-        raise DomainError(f"slot {k} holds {slots[k]!r}, which does not fit in {value_bits} bits")
+        raise DomainError(f"slot {k} holds {_clip(slots[k])}, which does not fit in {value_bits} bits")
     acc = 0
     for v in slots:
         acc = (acc << value_bits) | v
@@ -82,7 +82,7 @@ def unpack_slots_hex(text: str, S: int, value_bits: int) -> list[int]:
     if type(S) is not int:
         raise ConfigurationError(f"site count must be an int, got {type(S).__name__}")
     if S < 0:  # before any digit count is made of it
-        raise ConfigurationError(f"site count must not be negative, got {S}")
+        raise ConfigurationError(f"site count must not be negative, got {_clip(S)}")
     _check_bit_slots(S, value_bits)
     digits = hex_digest_length(S, value_bits)
     if not isinstance(text, str):
@@ -101,7 +101,7 @@ def unpack_slots_hex(text: str, S: int, value_bits: int) -> list[int]:
     else:
         # the charset check stands: fromhex would skip whitespace
         return list(struct.unpack(f">{S}{_STRUCT_CODES[value_bits]}", bytes.fromhex(text)))
-    raise HexFormatError(f"expected {digits} hex digits for S={S} width={value_bits}, got {got}")
+    raise HexFormatError(f"expected {_clip(digits)} hex digits for S={_clip(S)} width={value_bits}, got {got}")
 
 
 def check_dump(algo: Algorithm, S: int, T: int, value_bits: int, text: str) -> list[int]:
@@ -165,7 +165,7 @@ class Surface:
             _refuse(self.algo, self.S, T + 1, selector.capacity, selector.reload_limit)
         if type(value) is not int or value < 0 or value >> self.value_bits:
             raise DomainError(
-                f"value {value!r} does not fit in {self.value_bits} bits"
+                f"value {_clip(value)} does not fit in {self.value_bits} bits"
             )
         selection = selector.step()
         for k in selection:

@@ -7,14 +7,18 @@ scratch per step.  Slow but obviously faithful to the stated rules.
 
 ``ScanCurator`` is the package's former O(S)-per-step greedy curator, kept
 verbatim as the step-by-step oracle for the gap-bucket curator that
-replaced it.  ``epoch_walk_lookup`` is the package's former steady lookup,
-which walks every epoch, kept verbatim as the oracle for the lookup that
-visits only the arrivals that can still be retained.
+replaced it.  ``epoch_walk_site`` is the package's former steady kernel,
+which follows a stored arrival down one epoch per pass to the epoch-0 site
+it inherits, kept verbatim as the oracle for the closed form T mod (S+1).
+``epoch_walk_lookup`` is the package's former steady lookup, which walks
+every epoch and resolves each arrival with ``epoch_walk_site``, kept
+verbatim as the oracle for the lookup that visits only the arrivals that
+can still be retained.  Neither uses the package's steady kernel.
 """
 
 from fractions import Fraction
 
-from streamsieve.algorithms import MAX_STEADY_T, _steady_site, epoch, validate_site_count
+from streamsieve.algorithms import MAX_STEADY_T, epoch, validate_site_count
 
 
 def greedy_selections(kind: str, S: int, count: int) -> list:
@@ -126,6 +130,23 @@ class ScanCurator:
         return site
 
 
+def epoch_walk_site(S: int, T: int) -> int | None:
+    """Steady site for arrival T, or None to discard, by walking epochs."""
+    s = S.bit_length() - 1
+    t = T.bit_length() - s
+    if t <= 0:
+        return T
+    u = T + 1
+    if u & ((1 << t) - 1):
+        return None  # hanoi value below epoch: discard
+    half = S >> 1
+    while t > 0:
+        i = (u >> t) - half - 1
+        u = (2 * i + 1) << (t - 1)  # successor of the expired item
+        t = (u - 1).bit_length() - s
+    return u - 1
+
+
 def epoch_walk_lookup(S: int, T: int) -> list:
     """Steady lookup table without replay.
 
@@ -149,5 +170,5 @@ def epoch_walk_lookup(S: int, T: int) -> list:
         # lo is a multiple of 2**u, so the first storable arrival in the
         # epoch is lo + 2**u - 1
         for Tp in range(lo + step - 1, hi, step):
-            entries[_steady_site(S, Tp)] = Tp
+            entries[epoch_walk_site(S, Tp)] = Tp
     return entries

@@ -15,11 +15,16 @@ from streamsieve import (
     CapacityError,
     ConfigurationError,
     ReplayLimitError,
+    StreamSieveError,
+    Surface,
     epoch,
+    explode_row,
     hanoi_value,
     has_ingest_capacity,
     hybrid,
     hybrid_assign,
+    lookup_steady_fast,
+    pack_slots_hex,
     parse_algorithm,
     selection_stream,
     site_selection,
@@ -27,6 +32,7 @@ from streamsieve import (
     stream_capacity,
     stretched_assign,
     tilted_assign,
+    unpack_slots_hex,
     validate_site_count,
 )
 from streamsieve import algorithms
@@ -37,10 +43,11 @@ from streamsieve.algorithms import (
     _GreedyCurator,
     _layout,
     _refuse,
+    _steady_site,
     parse_int,
 )
 
-from reference_rules import ScanCurator, greedy_selections, trailing_ones
+from reference_rules import ScanCurator, epoch_walk_site, greedy_selections, trailing_ones
 
 SIZES = st.sampled_from([4, 8, 16, 32, 64, 128, 1024])
 
@@ -153,6 +160,46 @@ def test_steady_site_in_range(S, T):
 
 def test_steady_unbounded_far_out():
     assert steady_assign(64, 2**63) in set(range(64)) | {None}
+
+
+# the closed form T mod (S+1) against the epoch walk it replaced
+
+ALL_SIZES = [1 << s for s in range(2, 21)]
+
+
+def test_steady_site_matches_epoch_walk_on_every_small_t():
+    for S in (4, 8, 16, 32, 64):
+        for T in range(1 << 12):
+            assert _steady_site(S, T) == epoch_walk_site(S, T), (S, T)
+
+
+def test_steady_site_matches_epoch_walk_at_epoch_boundaries():
+    for S in ALL_SIZES:
+        u = 0
+        while (S << u) - 1 <= MAX_STEADY_T:
+            for T in ((S << u) - 1, S << u, (S << u) + 1):
+                if T <= MAX_STEADY_T:
+                    assert _steady_site(S, T) == epoch_walk_site(S, T), (S, T)
+            u += 1
+
+
+def test_steady_site_matches_epoch_walk_on_retained_arrivals():
+    # T + 1 = m * 2**t with S/2 < m <= S is stored in epoch t
+    rng = random.Random(20261019)
+    for _ in range(20000):
+        s = rng.randrange(2, 21)
+        S, t = 1 << s, rng.randrange(1, 65 - s)
+        T = (rng.randrange(S // 2 + 1, S + 1) << t) - 1
+        assert epoch(S, T) == t
+        site = _steady_site(S, T)
+        assert site is not None and site == epoch_walk_site(S, T), (S, T)
+
+
+def test_steady_site_matches_epoch_walk_at_random_depths():
+    rng = random.Random(20261020)
+    for _ in range(20000):
+        S, T = rng.choice(ALL_SIZES), rng.randrange(1 << 64)
+        assert _steady_site(S, T) == epoch_walk_site(S, T), (S, T)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +576,41 @@ def test_token_errors_repeat_a_bounded_prefix(token, message):
     with pytest.raises(ConfigurationError) as info:
         parse_algorithm(token)
     assert str(info.value) == message
+
+
+_HUGE_INT_CALLS = [
+    ("site_selection", lambda v: site_selection(STEADY, 4, v)),
+    ("steady_assign", lambda v: steady_assign(v, 0)),
+    ("epoch", lambda v: epoch(v, 0)),
+    ("hanoi_value", hanoi_value),
+    ("lookup_steady_fast", lambda v: lookup_steady_fast(4, v)),
+    ("selection_stream", lambda v: selection_stream(STEADY, v, 4)),
+    ("explode_row", lambda v: explode_row("steady", 4, v, 8, "00" * 4)),
+    ("Surface.from_hex", lambda v: Surface.from_hex(STEADY, 4, v, 8, "00" * 4)),
+    ("Surface.ingest", lambda v: Surface(STEADY, 4, 8).ingest(v)),
+    ("pack_slots_hex", lambda v: pack_slots_hex([v, 0, 0, 0], 8)),
+    ("unpack_slots_hex", lambda v: unpack_slots_hex("00", v, 8)),
+    ("stream_capacity", lambda v: stream_capacity(STEADY, v)),
+    ("Surface", lambda v: Surface(STEADY, v, 8)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(call, sign * 10**5000, id=f"{name}-{'+' if sign > 0 else '-'}10**5000")
+        for name, call in _HUGE_INT_CALLS
+        for sign in (1, -1)
+        if not (name == "hanoi_value" and sign > 0)  # it takes any T >= 0
+    ],
+)
+def test_a_huge_int_is_echoed_by_its_sign_and_bit_length(call, value):
+    # past the interpreter's 4 300-digit limit a repr raises ValueError
+    with pytest.raises(StreamSieveError) as info:
+        call(value)
+    sign = "positive" if value > 0 else "negative"
+    assert f"a {sign} int of 16610 bits" in str(info.value)
+    assert len(str(info.value)) < 160
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,8 @@ def test_fast_lookup_resolves_at_most_2S_arrivals(monkeypatch):
         for T in (S + 1, 2 * S, 3 * S, 1 << 40, MAX_STEADY_T):
             calls.clear()
             lookup_steady_fast(S, T)
-            assert len(calls) <= 2 * S, (S, T, len(calls))
+            # at least one, so a lookup that stops calling the kernel fails
+            assert 0 < len(calls) <= 2 * S, (S, T, len(calls))
             assert calls == sorted(calls)
 
 
