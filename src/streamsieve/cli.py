@@ -21,6 +21,7 @@ import csv
 import sys
 from contextlib import nullcontext, suppress
 from operator import itemgetter
+from string import Formatter
 from types import SimpleNamespace
 
 from .algorithms import MAX_SITE_COUNT, parse_algorithm, parse_int
@@ -52,6 +53,27 @@ def _open(path: str, mode: str = "r"):
         return open(path, mode, newline="")
     except OSError as exc:
         raise _UsageError(f"cannot {'write' if 'w' in mode else 'read'} {path}: {exc}")
+
+
+# characters of explode output written at once, about: a line is taken as
+# its template plus what its record fields (a site, a T-bar and a value, at
+# most 20 digits each) add
+_BLOCK_CHARS = 1 << 16
+_FIELD_CHARS = 64
+
+
+def _split_at_first_field(template: str) -> tuple[str, str]:
+    """Split an encoded line into its lead, the literal text before the
+    first field, unescaped, and the rest of the template from that field."""
+    literals = []
+    # a literal ends at each escaped brace too, so the lead may be several
+    for literal, field, _, _ in Formatter().parse(template):
+        literals.append(literal)
+        if field is not None:
+            break
+    lead = "".join(literals)
+    # the template's text up to the field is the lead with each brace doubled
+    return lead, template[len(lead) + lead.count("{") + lead.count("}") :]
 
 
 def _cmd_explode(args) -> int:
@@ -116,11 +138,17 @@ def _cmd_explode(args) -> int:
             # its braces first changes no quoting
             head = ["" if cell is None else cell.replace("{", "{{").replace("}", "}}") for cell in cells]
             template = encode(pick((*head, ordinal, "{0}", "{1}", "{2}")))
-            # streamed line by line: a row's records run to S times its line
-            outfile.writelines(
-                template.format(site, "" if tbar is None else tbar, "" if value is None else value)
-                for site, tbar, value in triples
-            )
+            lead, rest = _split_at_first_field(template)
+            fill = rest.format
+            # a block of lines is lead + rest + lead + rest + ...: one join and
+            # one write per block, bounded in characters, since a row's records
+            # run to S times its line
+            step = max(1, _BLOCK_CHARS // (len(template) + _FIELD_CHARS))
+            for start in range(0, len(triples), step):
+                outfile.write(lead + lead.join([
+                    fill(site, "" if tbar is None else tbar, "" if value is None else value)
+                    for site, tbar, value in triples[start : start + step]
+                ]))
         report = csv.writer(rejfile, lineterminator="\n")
         report.writerow(["dstream_row", "error"])
         report.writerows(rejects)

@@ -48,10 +48,14 @@ def _clip(value) -> str:
     # long one is cut to its start and its length.  An int past 100 bits
     # (31 digits) is told by its sign and bit length: past the interpreter's
     # 4 300-digit limit its repr raises ValueError, and short of it costs
-    # time quadratic in the digits.
+    # time quadratic in the digits.  A value whose repr raises, as a tuple
+    # or set holding an int past that limit does, is told by its type.
     if isinstance(value, int) and value.bit_length() > 100:
         return f"a {'negative' if value < 0 else 'positive'} int of {value.bit_length()} bits"
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"a {type(value).__name__[:_ECHO_LIMIT]} too large to print"
     if len(text) <= _ECHO_LIMIT:
         return text
     return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"

@@ -14,6 +14,7 @@ from streamsieve import (
     Algorithm,
     CapacityError,
     ConfigurationError,
+    DomainError,
     ReplayLimitError,
     StreamSieveError,
     Surface,
@@ -23,9 +24,11 @@ from streamsieve import (
     has_ingest_capacity,
     hybrid,
     hybrid_assign,
+    lookup_replay,
     lookup_steady_fast,
     pack_slots_hex,
     parse_algorithm,
+    run_benchmark,
     selection_stream,
     site_selection,
     steady_assign,
@@ -610,6 +613,41 @@ def test_a_huge_int_is_echoed_by_its_sign_and_bit_length(call, value):
         call(value)
     sign = "positive" if value > 0 else "negative"
     assert f"a {sign} int of 16610 bits" in str(info.value)
+    assert len(str(info.value)) < 160
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: hybrid(("steady", 4, 10**5000), ("steady", 4)),
+            ConfigurationError,
+            "bad hybrid segment a tuple too large to print",
+        ),
+        (
+            lambda: run_benchmark(STEADY, [4], [(0, 1, 10**5000)], 1),
+            DomainError,
+            "bad depth window a tuple too large to print",
+        ),
+        (
+            lambda: run_benchmark(STEADY, {10**5000}, [(0, 4)], 1),
+            ConfigurationError,
+            "need a list or tuple of at least one size, got a set too large to print",
+        ),
+        (
+            lambda: lookup_replay(STEADY, 4, 8, at={10**5000}),
+            ConfigurationError,
+            "need a list or tuple of replay stops, got a set too large to print",
+        ),
+    ],
+    ids=["hybrid-segment", "run_benchmark-window", "run_benchmark-sizes", "lookup_replay-at"],
+)
+def test_a_container_of_a_huge_int_is_echoed_by_its_type(call, error, message):
+    # the repr of a tuple or set raises ValueError if an int inside is past
+    # the 4 300-digit limit
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
     assert len(str(info.value)) < 160
 
 

@@ -282,12 +282,25 @@ class TestExplode:
     def test_matches_one_explode_row_per_row(self, tmp_path, capsys):
         """The batch writes the bytes that one explode_row call per row, in
         input order, wrote before rows of a layout shared one pass."""
+        texts = []
         for seed in range(3):
             rng = random.Random(seed)
             rows = _explode_cases(rng)
             rng.shuffle(rows)
+            texts.append("dstream_algo,dstream_S,dstream_T,dstream_storage_hex,label\n" + "".join(rows))
+        # rows whose records span many write blocks, with cells str.format
+        # would read as fields before and after a record column mid-header
+        rng = random.Random(3)
+        texts.append(
+            "a,dstream_algo,dstream_S,dstream_T,dstream_Tbar,b,dstream_storage_hex,c\n"
+            + "".join(
+                f"{{0}},steady,{S},{T},x,}}}},{rng.randbytes(S).hex()},{{1!r}}\n"
+                for S, T in ((1024, 1 << 40), (4, 8), (1024, 700), (256, 3))
+            )
+        )
+        for seed, text in enumerate(texts):
             src = tmp_path / f"dumps{seed}.csv"
-            src.write_text("dstream_algo,dstream_S,dstream_T,dstream_storage_hex,label\n" + "".join(rows))
+            src.write_text(text)
             got, want = tmp_path / f"got{seed}.csv", tmp_path / f"want{seed}.csv"
             code = main(["explode", str(src), str(got), "--value-bits", "8"])
             err = capsys.readouterr().err
@@ -297,19 +310,25 @@ class TestExplode:
                 tmp_path / f"want{seed}.csv.rejects"
             ).read_bytes(), seed
 
-    def test_memory_does_not_grow_with_the_output(self, tmp_path):
-        # one steady S=4096 8-bit row writes 4096 records, each with the
-        # row's 8 KiB hex cell: 32 MiB, streamed, never joined per row
+    @pytest.mark.parametrize(
+        "S, value_bits, size",
+        [(4096, 8, 32 << 20), (1024, 64, 16 << 20)],
+        ids=["S4096-8bit", "S1024-64bit"],
+    )
+    def test_memory_does_not_grow_with_the_output(self, tmp_path, S, value_bits, size):
+        # one steady row writes S records, each with the row's hex cell, of
+        # 8 KiB or 16 KiB: streamed in blocks of a few records, never joined
+        # per row
         src = tmp_path / "dumps.csv"
         out = tmp_path / "long.csv"
-        write_csv(src, DUMP_HEADER, [["steady", 4096, 10**6, "5a" * 4096, "big"]])
+        write_csv(src, DUMP_HEADER, [["steady", S, 10**6, "5a" * (S * value_bits // 8), "big"]])
         tracemalloc.start()
         try:
-            assert main(["explode", str(src), str(out), "--value-bits", "8"]) == 0
+            assert main(["explode", str(src), str(out), "--value-bits", str(value_bits)]) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.stat().st_size > 32 << 20
+        assert out.stat().st_size > size
         assert peak < 4 << 20
 
     def test_one_forward_pass_per_layout(self, tmp_path, monkeypatch, capsys):
