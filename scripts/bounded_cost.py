@@ -1,15 +1,15 @@
 """Run the costliest inputs known to finish, each under its own time budget.
 
-Every row is one CLI call or one reload with the budget, in seconds, that
-it must finish in on a shared 2-vCPU CI runner.  A row that exits non-zero
-or runs past its budget (it is killed there) fails the script; every row
-runs either way, and each prints its time.  Inputs a row needs are written
-to a temporary directory first, untimed.
+Every row is one CLI call, reload or script with the budget, in seconds,
+that it must finish in on a shared 2-vCPU CI runner.  A row that exits
+non-zero or runs past its budget (it is killed there) fails the script;
+every row runs either way, and each prints its time.  Inputs a row needs
+are written to a temporary directory first, untimed.
 
-Needs the package importable and the ``streamsieve`` entry point on PATH,
-as after ``pip install -e .``:
+Each CLI row runs ``python -m streamsieve.cli`` with this interpreter, so
+the package need only be importable, as from a checkout:
 
-    python scripts/bounded_cost.py
+    PYTHONPATH=src python scripts/bounded_cost.py
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import time
 from pathlib import Path
 
 HEADER = "dstream_algo,dstream_S,dstream_T,dstream_storage_hex\n"
+CLI = [sys.executable, "-m", "streamsieve.cli"]
 
 
 def _reload(code: str) -> list[str]:
@@ -43,7 +44,7 @@ def _steady_dumps(path: Path) -> None:
 def _vectors(path: Path) -> None:
     # the benchmark's vector mix: 50 188 vectors
     subprocess.run(
-        ["streamsieve", "validate", "--generate", str(path),
+        [*CLI, "validate", "--generate", str(path),
          "--algos", "steady,stretched,tilted,hybrid(steady:32+tilted:32)",
          "--max-S", "64", "--max-T", "4096", "--steady-extra", "100"],
         check=True,
@@ -53,10 +54,10 @@ def _vectors(path: Path) -> None:
 # (what the row shows, budget in seconds, command with {dir} for the
 # temporary directory, the input it needs as (file name, writer) or None)
 ROWS = [
-    ("steady lookup", 5, ["streamsieve", "lookup", "--algo", "steady", "--S", "4", "--T", "8"], None),
+    ("steady lookup", 5, [*CLI, "lookup", "--algo", "steady", "--S", "4", "--T", "8"], None),
     # the deepest reloadable stretched table: skip-ahead takes milliseconds
     ("stretched S=64 lookup at T=2**22", 5,
-     ["streamsieve", "lookup", "--algo", "stretched", "--S", "64", "--T", "4194304"], None),
+     [*CLI, "lookup", "--algo", "stretched", "--S", "64", "--T", "4194304"], None),
     # the slowest reload: the deepest legal tilted dump replays 2**22 steps
     ("tilted S=64 reload at T=2**22", 60, _reload(
         "from streamsieve import TILTED, Surface\n"
@@ -68,11 +69,11 @@ ROWS = [
     # an all-steady hybrid looks up and reloads in closed form at the
     # deepest T the steady rule takes
     ("all-steady hybrid lookup at T=2**64-1", 5,
-     ["streamsieve", "lookup", "--algo", "hybrid(steady:4+steady:4)", "--S", "8",
+     [*CLI, "lookup", "--algo", "hybrid(steady:4+steady:4)", "--S", "8",
       "--T", "18446744073709551615"], None),
     # the steady lookup resolves at most 2S arrivals, each in O(1): 2**21 here
     ("steady S=2**20 lookup at T=2**64-1", 5,
-     ["streamsieve", "lookup", "--algo", "steady", "--S", "1048576", "--T", "18446744073709551615"],
+     [*CLI, "lookup", "--algo", "steady", "--S", "1048576", "--T", "18446744073709551615"],
      None),
     ("all-steady hybrid reload at T=2**64-1", 5, _reload(
         "from streamsieve import Surface, parse_algorithm\n"
@@ -80,15 +81,18 @@ ROWS = [
      None),
     # explode replays the rows' one layout once, to the deepest T
     ("explode 256 tilted S=64 rows", 10,
-     ["streamsieve", "explode", "{dir}/tilted_dumps.csv", "{dir}/tilted_long.csv", "--value-bits", "8"],
+     [*CLI, "explode", "{dir}/tilted_dumps.csv", "{dir}/tilted_long.csv", "--value-bits", "8"],
      ("tilted_dumps.csv", _tilted_dumps)),
     # 8 192 records, each repeating its row's 8 KiB hex: 64 MiB
     ("explode 2 steady S=4096 rows", 10,
-     ["streamsieve", "explode", "{dir}/steady_dumps.csv", "{dir}/steady_long.csv", "--value-bits", "8"],
+     [*CLI, "explode", "{dir}/steady_dumps.csv", "{dir}/steady_long.csv", "--value-bits", "8"],
      ("steady_dumps.csv", _steady_dumps)),
     # each scalar layout and each token is resolved once per check
     ("validate --check, the benchmark's mix", 30,
-     ["streamsieve", "validate", "--check", "{dir}/vectors.csv"], ("vectors.csv", _vectors)),
+     [*CLI, "validate", "--check", "{dir}/vectors.csv"], ("vectors.csv", _vectors)),
+    # the greedy curator's frozen selections at S=2**16 (see the script)
+    ("greedy digests at S=2**16", 60,
+     [sys.executable, str(Path(__file__).with_name("large_s_digests.py"))], None),
 ]
 
 

@@ -84,19 +84,15 @@ SCALAR_KINDS = ("steady", "stretched", "tilted")
 
 def validate_site_count(S: int) -> None:
     """Reject site counts that are not powers of two in [4, 2**20]."""
-    if (
-        not isinstance(S, int)
-        or isinstance(S, bool)
-        or S < MIN_SITE_COUNT
-        or S > MAX_SITE_COUNT
-        or S & (S - 1)
-    ):
+    # True and False fail the range check: a bool needs no clause of its own
+    if not isinstance(S, int) or S < MIN_SITE_COUNT or S > MAX_SITE_COUNT or S & (S - 1):
         raise ConfigurationError(
             f"site count must be a power of two in [{MIN_SITE_COUNT}, 2**20], got {_clip(S)}"
         )
 
 
 def _validate_time(T: int) -> None:
+    # unlike a site count, True would pass the range check as 1
     if not isinstance(T, int) or isinstance(T, bool) or T < 0:
         raise DomainError(f"ingest counter must be a non-negative integer, got {_clip(T)}")
 

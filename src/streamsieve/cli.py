@@ -212,7 +212,7 @@ def _cmd_bench(args) -> int:
         sizes = _parse_int_list(args.sizes, "--sizes")
         windows = _parse_windows(args.depths)
         results = run_benchmark(algo, sizes, windows, args.replicates)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise _UsageError(exc)
     with _open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
         writer = csv.writer(out, lineterminator="\n")
@@ -327,7 +327,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+        return exc.code
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -27,12 +27,7 @@ class CompressingBuffer:
     __slots__ = ("capacity", "interval", "items", "_next")
 
     def __init__(self, capacity: int):
-        if (
-            not isinstance(capacity, int)
-            or isinstance(capacity, bool)
-            or capacity < 2
-            or capacity % 2
-        ):
+        if not isinstance(capacity, int) or capacity < 2 or capacity % 2:
             raise ConfigurationError(
                 f"capacity must be an even integer >= 2, got {_clip(capacity)}"
             )
@@ -54,11 +49,10 @@ class CompressingBuffer:
         if T % m:
             return False
         if len(self.items) == self.capacity:
-            # keep every other retained item, then double the interval
-            self.items = [item for item in self.items if item[0] % (2 * m) == 0]
-            m = self.interval = 2 * m
-            if T % m:
-                return False
+            # a full buffer holds 0, m, ..., (n - 1)m with n even, so T = nm
+            # is a multiple of 2m: keep every other item and double m
+            self.items = self.items[::2]
+            self.interval = 2 * m
         self.items.append((T, value))
         return True
 

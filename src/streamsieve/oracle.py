@@ -18,7 +18,7 @@ from .errors import ConfigurationError, DomainError, _clip
 
 
 def _check_site_count(S: int) -> None:
-    if not isinstance(S, int) or isinstance(S, bool) or S < 2 or S & (S - 1):
+    if not isinstance(S, int) or S < 2 or S & (S - 1):
         raise ConfigurationError(f"site count must be a power of two >= 2, got {_clip(S)}")
 
 
@@ -67,7 +67,7 @@ def window_coverage_metric(retained, T: int, mode: str) -> float:
     """
     if mode not in ("age", "depth"):
         raise ConfigurationError(f"mode must be 'age' or 'depth', got {_clip(mode)}")
-    if not isinstance(T, int) or isinstance(T, bool) or T < 2:
+    if not isinstance(T, int) or T < 2:
         raise DomainError(f"horizon must be an integer >= 2, got {_clip(T)}")
     windows = (T + 1).bit_length() - 1  # j with 2**(j+1) - 1 <= T
     covered = set()
@@ -89,13 +89,13 @@ def density_monotonicity_check(retained, T: int, direction: str, slack: int) -> 
     """
     if direction not in ("stretched", "tilted"):
         raise ConfigurationError(f"direction must be 'stretched' or 'tilted', got {_clip(direction)}")
-    if not isinstance(T, int) or isinstance(T, bool) or T < 8:
+    if not isinstance(T, int) or T < 8:
         raise DomainError(f"horizon must be an integer >= 8, got {_clip(T)}")
     bounds = [T * w // 8 for w in range(9)]
     counts = [0] * 8
     for x in retained:
         if 0 <= x < T:
-            counts[min(bisect_right(bounds, x) - 1, 7)] += 1
+            counts[bisect_right(bounds, x) - 1] += 1
     for i in range(8):
         for j in range(i + 1, 8):
             if direction == "stretched" and counts[j] > counts[i] + slack:

@@ -104,6 +104,28 @@ def test_site_count_accepts_bounds():
     validate_site_count(1 << 20)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        # a site count's range check refuses a bool as it refuses 0 and 1
+        (validate_site_count, ConfigurationError,
+         "site count must be a power of two in [4, 2**20], got {!r}"),
+        # where True would pass the range check as 1, a clause refuses it
+        (lambda v: site_selection(STEADY, 4, v), DomainError,
+         "ingest counter must be a non-negative integer, got {!r}"),
+        (lambda v: selection_stream(STEADY, 4, v), DomainError,
+         "count must be a non-negative integer, got {!r}"),
+    ],
+    ids=["site-count", "ingest-counter", "stream-count"],
+)
+@pytest.mark.parametrize("value", [True, False])
+def test_a_bool_is_refused(call, error, message, value):
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(value)
+
+
 # ---------------------------------------------------------------------------
 # capacity
 
@@ -441,6 +463,33 @@ def test_hybrid_validation():
     with pytest.raises(ConfigurationError, match="^segments must be a tuple, got list$"):
         # a list would neither equal the parsed layout nor hash
         Algorithm("hybrid", [("steady", 4), ("tilted", 4)])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Algorithm("steady", (("steady", 4),)), ConfigurationError,
+         "steady takes no segments"),
+        (lambda: Algorithm("bogus"), ConfigurationError, "unknown algorithm kind 'bogus'"),
+        (lambda: site_selection("steady", 4, 0), ConfigurationError,
+         "expected an Algorithm, got 'steady'"),
+        (lambda: hybrid_assign(STEADY, 4, 0), ConfigurationError,
+         "hybrid_assign needs a hybrid layout, got steady"),
+        (lambda: selection_stream(STEADY, 4, -1), DomainError,
+         "count must be a non-negative integer, got -1"),
+        (lambda: selection_stream(STEADY, 4, 1.5), DomainError,
+         "count must be a non-negative integer, got 1.5"),
+    ],
+    ids=[
+        "scalar-with-segments", "unknown-kind", "token-for-algorithm", "scalar-to-hybrid-assign",
+        "negative-count", "float-count",
+    ],
+)
+def test_rarely_reached_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_a_hybrid_is_its_two_fields():

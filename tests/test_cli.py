@@ -2,6 +2,7 @@
 
 import csv
 import random
+import sys
 import tracemalloc
 from operator import itemgetter
 
@@ -10,7 +11,7 @@ import pytest
 from streamsieve import REPLAY_CAP, explode_row
 from streamsieve.algorithms import MAX_STEADY_T, _GreedyCurator, parse_int
 from streamsieve.benchmark import BENCH_FIELDS
-from streamsieve.cli import RECORD_COLUMNS, main
+from streamsieve.cli import RECORD_COLUMNS, main, run
 
 
 def write_csv(path, header, rows):
@@ -129,6 +130,12 @@ class TestExplode:
         assert main(["explode", str(src), str(out), "--value-bits", "8"]) == 2
         assert "line 3" in capsys.readouterr().err
         assert csv.field_size_limit() == limit
+
+    def test_empty_input_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "dumps.csv"
+        src.write_text("")
+        assert main(["explode", str(src), str(tmp_path / "out.csv"), "--value-bits", "8"]) == 2
+        assert capsys.readouterr().err == f"error: {src} has no header row\n"
 
     def test_missing_column_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "dumps.csv"
@@ -592,6 +599,11 @@ class TestBench:
             ("8", "64"), ("8", "128"), ("16", "64"), ("16", "128"),
         }
 
+    def test_empty_depth_windows_are_skipped(self, capsys):
+        assert main(["bench", "--sizes", "8", "--depths", "0:4,,4:8", "--replicates", "1"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [(r["T_lo"], r["T_hi"]) for r in rows] == [("0", "4"), ("4", "8")]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -673,6 +685,22 @@ def test_no_arguments_is_usage_error(capsys):
 
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 2
+
+
+def test_help_exits_with_argparse_status(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: streamsieve")
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["lookup", "--algo", "steady", "--S", "4", "--T", "8"], 0), ([], 2)]
+)
+def test_run_exits_with_mains_status(argv, code, monkeypatch, capsys):
+    # the entry point the package installs
+    monkeypatch.setattr(sys, "argv", ["streamsieve", *argv])
+    with pytest.raises(SystemExit) as info:
+        run()
+    assert info.value.code == code
 
 
 # each integer flag: its argv with {} for the value, then legal values and

@@ -3,10 +3,19 @@ import pytest
 from streamsieve import CompressingBuffer, ConfigurationError, SequenceError, check_steady_gap
 
 
-@pytest.mark.parametrize("capacity", [0, 1, 3, 7, -2, True, "4", 2.0])
+@pytest.mark.parametrize("capacity", [0, 1, 3, 7, -2, True, False, "4", 2.0])
 def test_capacity_must_be_even_int(capacity):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as info:
         CompressingBuffer(capacity)
+    assert type(info.value) is ConfigurationError
+    assert str(info.value) == f"capacity must be an even integer >= 2, got {capacity!r}"
+
+
+def test_repr():
+    buf = CompressingBuffer(4)
+    for T in range(5):
+        buf.ingest(T, T)
+    assert repr(buf) == "CompressingBuffer(capacity=4, interval=2, held=3)"
 
 
 def test_fill_then_first_compression():
@@ -109,3 +118,21 @@ def test_gap_stays_within_four_T_over_n():
             if T:
                 result = check_steady_gap(buf.retained(), capacity // 2, T + 1)
                 assert result.passed, (capacity, T, result)
+
+
+@pytest.mark.parametrize("capacity", range(2, 129, 2))
+def test_items_are_every_interval_from_zero(capacity):
+    # what compression relies on: item k is k * interval after every ingest,
+    # and every compression comes at a multiple of the doubled interval
+    buf = CompressingBuffer(capacity)
+    for T in range(20_000):
+        m, before = buf.interval, buf.items
+        stored = buf.ingest(T, -T)
+        if buf.interval != m:
+            assert buf.interval == 2 * m and T % (2 * m) == 0, T
+            assert stored and len(before) == capacity, T
+            assert buf.items == before[::2] + [(T, -T)], T
+        if stored:
+            assert buf.items == [(k * buf.interval, -k * buf.interval) for k in range(len(buf))], T
+        else:
+            assert buf.items is before and T % m, T

@@ -158,3 +158,39 @@ def test_bad_arguments_raise_library_errors(call, error):
     with pytest.raises(error) as info:
         call()
     assert isinstance(info.value, StreamSieveError)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        # each range check refuses a bool as it refuses 0 and 1
+        (lambda v: needed_set_steady(v, 8), ConfigurationError,
+         "site count must be a power of two >= 2, got {!r}"),
+        (lambda v: check_steady_gap([0], v, 8), ConfigurationError,
+         "site count must be a power of two >= 2, got {!r}"),
+        (lambda v: window_coverage_metric([0], v, "age"), DomainError,
+         "horizon must be an integer >= 2, got {!r}"),
+        (lambda v: density_monotonicity_check({0}, v, "tilted", 2), DomainError,
+         "horizon must be an integer >= 8, got {!r}"),
+        # where True would pass the range check as 1, a clause refuses it
+        (lambda v: needed_set_steady(4, v), DomainError,
+         "horizon must be a positive integer, got {!r}"),
+        (lambda v: check_steady_gap([0], 4, v), DomainError,
+         "horizon must be a positive integer, got {!r}"),
+    ],
+    ids=["needed-S", "gap-S", "coverage-T", "density-T", "needed-T", "gap-T"],
+)
+@pytest.mark.parametrize("value", [True, False])
+def test_a_bool_is_refused(call, error, message, value):
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(value)
+
+
+@pytest.mark.parametrize("T", [8, 9, 15, 64, 1000])
+def test_every_time_below_the_horizon_lands_in_one_of_8_windows(T):
+    # bisect puts 0 <= x < T in windows 0..7: the last bound is T itself
+    assert density_monotonicity_check(range(T), T, "stretched", T)
+    assert density_monotonicity_check([T - 1] * (T // 8 + 1), T, "tilted", 0)
+    assert not density_monotonicity_check([T - 1] * (T // 8 + 1), T, "stretched", 0)

@@ -39,6 +39,12 @@ def test_constructor_examples():
         Surface(STEADY, 8, 12)
 
 
+def test_repr():
+    s = Surface(hybrid(("steady", 4), ("tilted", 4)), 8, 16)
+    s.ingest(7)
+    assert repr(s) == "Surface(algo=hybrid(steady:4+tilted:4), S=8, T=1, value_bits=16)"
+
+
 def test_identity_fill_then_discard():
     s = Surface(STEADY, 4, 8)
     for T in range(4):
