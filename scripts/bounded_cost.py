@@ -1,10 +1,11 @@
 """Run the costliest inputs known to finish, each under its own time budget.
 
 Every row is one CLI call, reload or script with the budget, in seconds,
-that it must finish in on a shared 2-vCPU CI runner.  A row that exits
-non-zero or runs past its budget (it is killed there) fails the script;
-every row runs either way, and each prints its time.  Inputs a row needs
-are written to a temporary directory first, untimed.
+that it must finish in on a shared 2-vCPU CI runner, and the exit status
+it must give: 0 unless the row names another, as a refusal does.  A row
+that exits otherwise or runs past its budget (it is killed there) fails
+the script; every row runs either way, and each prints its time.  Inputs
+a row needs are written to a temporary directory first, untimed.
 
 Each CLI row runs ``python -m streamsieve.cli`` with this interpreter, so
 the package need only be importable, as from a checkout:
@@ -52,7 +53,8 @@ def _vectors(path: Path) -> None:
 
 
 # (what the row shows, budget in seconds, command with {dir} for the
-# temporary directory, the input it needs as (file name, writer) or None)
+# temporary directory, the input it needs as (file name, writer) or None,
+# and optionally the exit status it expects, 0 if not given)
 ROWS = [
     ("steady lookup", 5, [*CLI, "lookup", "--algo", "steady", "--S", "4", "--T", "8"], None),
     # the deepest reloadable stretched table: skip-ahead takes milliseconds
@@ -93,13 +95,22 @@ ROWS = [
     # the greedy curator's frozen selections at S=2**16 (see the script)
     ("greedy digests at S=2**16", 60,
      [sys.executable, str(Path(__file__).with_name("large_s_digests.py"))], None),
+    # refused before the first step: a steady window of 2**64 - 1 arrivals
+    ("bench refuses a window past the replay cap", 5,
+     [*CLI, "bench", "--sizes", "4", "--depths", "0:18446744073709551615", "--replicates", "1"],
+     None, 2),
+    # refused before the first row: a steady grid of 10**11 rows
+    ("validate --generate refuses a grid past the replay cap", 5,
+     [*CLI, "validate", "--generate", "{dir}/refused.csv", "--algos", "steady",
+      "--max-S", "4", "--max-T", "100000000000", "--steady-extra", "0"], None, 2),
 ]
 
 
 def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name, budget, command, needs in ROWS:
+        for name, budget, command, needs, *expect in ROWS:
+            expected = expect[0] if expect else 0
             if needs is not None:
                 needs[1](Path(tmp) / needs[0])
             argv = [arg.replace("{dir}", tmp) for arg in command]
@@ -109,8 +120,8 @@ def main() -> int:
             except subprocess.TimeoutExpired:
                 status = "killed at the budget"
             elapsed = time.perf_counter() - start
-            failed += status != 0
-            verdict = "ok" if status == 0 else f"FAILED ({status})"
+            failed += status != expected
+            verdict = "ok" if status == expected else f"FAILED ({status})"
             print(f"{name}: {elapsed:.2f} s of {budget} s, {verdict}", flush=True)
     print(f"{len(ROWS) - failed} of {len(ROWS)} rows within budget")
     return 1 if failed else 0

@@ -5,7 +5,8 @@ start anywhere.  Every layout is timed one way: a fresh ``Selector`` per
 replicate seeks to t_lo outside the timed region, then steps each arrival
 of the window.  Steady segments seek for free at any depth; a greedy one
 steps forward to t_lo.  Every window is held to the layout's limit and
-capacity, as any other path that takes it that far is.
+capacity, as any other path that takes it that far is, and steps at most
+REPLAY_CAP arrivals.
 
 No I/O happens inside a timed region; the clock is perf_counter_ns.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 from time import perf_counter_ns
 from typing import NamedTuple
 
-from .algorithms import Algorithm, Selector, _layout, _refuse
+from .algorithms import REPLAY_CAP, Algorithm, Selector, _layout, _refuse
 from .errors import ConfigurationError, DomainError, _clip
 
 
@@ -42,6 +43,8 @@ def _validate_window(algo: Algorithm, S: int, window) -> tuple[int, int]:
     if not (type(t_lo) is int and type(t_hi) is int) or t_lo < 0 or t_hi <= t_lo:
         raise DomainError(f"bad depth window {_clip(window)}")
     _refuse(algo, S, t_hi, capacity, limit)
+    # a steady window may start at any depth, but steps no more than replay
+    _refuse(algo, S, t_hi - t_lo, None, REPLAY_CAP)
     return t_lo, t_hi
 
 

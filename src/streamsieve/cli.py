@@ -21,7 +21,6 @@ import csv
 import sys
 from contextlib import nullcontext, suppress
 from operator import itemgetter
-from string import Formatter
 from types import SimpleNamespace
 
 from .algorithms import MAX_SITE_COUNT, parse_algorithm, parse_int
@@ -56,24 +55,10 @@ def _open(path: str, mode: str = "r"):
 
 
 # characters of explode output written at once, about: a line is taken as
-# its template plus what its record fields (a site, a T-bar and a value, at
-# most 20 digits each) add
+# its lead and rest plus what its record fields (a site, a T-bar and a
+# value, at most 20 digits each) add
 _BLOCK_CHARS = 1 << 16
 _FIELD_CHARS = 64
-
-
-def _split_at_first_field(template: str) -> tuple[str, str]:
-    """Split an encoded line into its lead, the literal text before the
-    first field, unescaped, and the rest of the template from that field."""
-    literals = []
-    # a literal ends at each escaped brace too, so the lead may be several
-    for literal, field, _, _ in Formatter().parse(template):
-        literals.append(literal)
-        if field is not None:
-            break
-    lead = "".join(literals)
-    # the template's text up to the field is the lead with each brace doubled
-    return lead, template[len(lead) + lead.count("{") + lead.count("}") :]
 
 
 def _cmd_explode(args) -> int:
@@ -102,6 +87,9 @@ def _cmd_explode(args) -> int:
     column.update({name: width + i for i, name in enumerate(("dstream_row", *RECORD_COLUMNS))})
     out_fields = ["dstream_row", *fields, *RECORD_COLUMNS]
     pick = itemgetter(*(column[name] for name in out_fields))
+    # the first record cell; the row number comes before it, so the lead is
+    # never the lone empty cell that csv writes as ""
+    first = min(out_fields.index(name) for name in RECORD_COLUMNS)
     # writerow returns what its file's write returns: here, the encoded line.
     # csv quotes a cell for the characters of its line terminator, so "\r\n"
     # quotes a bare "\r" too; the line then ends in "\n" alone
@@ -133,17 +121,19 @@ def _cmd_explode(args) -> int:
             except ValueError as exc:
                 rejects.append((ordinal, str(exc)))
                 continue
-            # the row's own cells are encoded once, with a str.format field for
-            # each record cell; csv quotes a cell by its own text, so escaping
-            # its braces first changes no quoting
+            # a line is the lead, the cells before the first record cell, and
+            # the rest, a str.format template with a field for each record
+            # cell.  Each is encoded once per row; csv quotes a cell by its
+            # own text, so the two encodes join to the row's line, and
+            # escaping the rest's braces changes no quoting
+            lead = encode(pick((*cells, ordinal, None, None, None))[:first])[:-1] + ","
             head = ["" if cell is None else cell.replace("{", "{{").replace("}", "}}") for cell in cells]
-            template = encode(pick((*head, ordinal, "{0}", "{1}", "{2}")))
-            lead, rest = _split_at_first_field(template)
+            rest = encode(pick((*head, ordinal, "{0}", "{1}", "{2}"))[first:])
             fill = rest.format
             # a block of lines is lead + rest + lead + rest + ...: one join and
             # one write per block, bounded in characters, since a row's records
             # run to S times its line
-            step = max(1, _BLOCK_CHARS // (len(template) + _FIELD_CHARS))
+            step = max(1, _BLOCK_CHARS // (len(lead) + len(rest) + _FIELD_CHARS))
             for start in range(0, len(triples), step):
                 outfile.write(lead + lead.join([
                     fill(site, "" if tbar is None else tbar, "" if value is None else value)

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .algorithms import (
     MIN_SITE_COUNT,
+    REPLAY_CAP,
     Selector,
     _refuse,
     parse_algorithm,
@@ -63,7 +64,8 @@ def generate_vectors(
     its own total) and every T in [0, min(max_t, capacity)).
     ``steady_extra`` large-T rows per steady S are drawn from
     [max_t, max_t + 2**48) with the given seed.  Each layout is one
-    ``Selector`` walk, refused for its last row before its first is built.
+    ``Selector`` walk, refused for its last row, or for a grid of more than
+    REPLAY_CAP rows, before its first is built.
     DomainError names the first bound that is not an int (1.0 and True are
     not), or a negative max_t.
     """
@@ -78,11 +80,15 @@ def generate_vectors(
         algo = parse_algorithm(token)
         for S in _grid_sizes(algo, max_s):
             selector = Selector(algo, S)
-            grid = range(max_t if selector.capacity is None else min(max_t, selector.capacity))
+            rows = max_t if selector.capacity is None else min(max_t, selector.capacity)
+            grid = range(rows)
             draws = steady_extra if algo.kind == "steady" else 0
             extra = sorted(rng.randrange(max_t, max_t + LARGE_T_SPAN) for _ in range(draws))
             last = extra[-1] if extra else grid[-1] if grid else -1
             _refuse(algo, S, last + 1, selector.capacity, selector.reload_limit)
+            # every grid row is held, so a grid is walked no further than replay
+            # (len() of a range past 2**63 overflows; its stop does not)
+            _refuse(algo, S, rows, None, REPLAY_CAP)
             for T in chain(grid, extra):
                 selector.seek(T)
                 vectors.append(TestVector(token, S, T, selector.step()))

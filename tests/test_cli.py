@@ -305,6 +305,17 @@ class TestExplode:
                 for S, T in ((1024, 1 << 40), (4, 8), (1024, 700), (256, 3))
             )
         )
+        # a record column first, so the lead is the row number alone, and the
+        # row number again inside the rest; braces and empty cells on both
+        # sides of the first record cell, whose input cell is dropped
+        texts.append(
+            "dstream_site,a,dstream_algo,dstream_S,dstream_T,dstream_row,b,dstream_storage_hex,c\n"
+            f"{{0}},}}}},steady,4,9,,{{0}},{rng.randbytes(4).hex()},\n"
+            f",{{0}},tilted,16,300,}}}},,{rng.randbytes(16).hex()},}}}}\n"
+            f"}}}},,stretched,16,200,{{1!r}},}}{{,{rng.randbytes(16).hex()}\n"
+            f",,steady,256,{1 << 50},,,{rng.randbytes(256).hex()},{{0}}\n"
+            f"{{0}},}}}},tilted,4,99,,,{rng.randbytes(4).hex()},past capacity\n"
+        )
         for seed, text in enumerate(texts):
             src = tmp_path / f"dumps{seed}.csv"
             src.write_text(text)
@@ -551,6 +562,17 @@ class TestValidate:
         assert main(["validate", "--generate", str(path), "--max-T", "8"]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
 
+    def test_a_grid_past_the_replay_cap_is_usage_error(self, tmp_path, capsys):
+        # 10**11 steady rows, each held before the first is written
+        path = tmp_path / "v.csv"
+        argv = ["validate", "--generate", str(path), "--algos", "steady", "--max-S", "4",
+                "--max-T", "100000000000", "--steady-extra", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: steady with S=4 is capped at 4194304 arrivals, asked for 100000000000\n"
+        )
+        assert not path.exists()
+
     def test_generate_and_check_are_exclusive(self, tmp_path):
         assert main(["validate"]) == 2
         assert (
@@ -616,6 +638,8 @@ class TestBench:
             # sizes and depths are read as CSV cells are, by parse_int
             ["bench", "--sizes", "+8,1_6", "--depths", "0:8"],
             ["bench", "--sizes", "8", "--depths", " 0:8"],
+            # a steady window of 2**64 - 1 steps, past the replay cap
+            ["bench", "--sizes", "4", "--depths", "0:18446744073709551615", "--replicates", "1"],
         ],
     )
     def test_usage_errors(self, argv, capsys):

@@ -119,6 +119,21 @@ def test_a_too_deep_greedy_layout_is_refused_before_its_first_row(monkeypatch):
     assert len(built) == 14 + 254 + 65534
 
 
+@pytest.mark.parametrize(
+    "token, max_s", [("steady", 8), ("hybrid(steady:4+steady:4)", 8)], ids=["steady", "all-steady"]
+)
+def test_a_grid_past_the_replay_cap_is_refused_before_its_first_row(monkeypatch, token, max_s):
+    # an unbounded layout's grid runs to max_t: 10**11 rows, each held
+    built = []
+    monkeypatch.setattr(conformance, "TestVector", lambda *row: built.append(row))
+    S = 4 if token == "steady" else 8
+    refused = f"{token} with S={S} is capped at 4194304 arrivals, asked for 100000000000"
+    with pytest.raises(ReplayLimitError) as info:
+        generate_vectors([token], max_s, 10**11, 0)
+    assert str(info.value) == refused
+    assert built == []
+
+
 def test_check_is_reflexive():
     vectors = generate_vectors(
         ["steady", "stretched", "tilted", "hybrid(steady:4+tilted:4)"],

@@ -135,6 +135,9 @@ def test_checkers_on_greedy_replays():
         (lambda: run_benchmark(STEADY, [64], [(0, 8, 16)], 1), DomainError),
         (lambda: run_benchmark(STEADY, [64], [8], 1), DomainError),
         (lambda: run_benchmark(TILTED, [32], [(1, REPLAY_CAP + 1)], 1), ReplayLimitError),
+        # a steady window may start at any depth but steps at most REPLAY_CAP
+        (lambda: run_benchmark(STEADY, [4], [(0, 2**64 - 1)], 1), ReplayLimitError),
+        (lambda: run_benchmark(STEADY, [4], [(2**40, 2**40 + REPLAY_CAP + 1)], 1), ReplayLimitError),
         (lambda: run_benchmark(STEADY, [64], [(0, 8)], 0), DomainError),
         (lambda: run_benchmark(STEADY, [], [(0, 8)], 1), ConfigurationError),
         (lambda: run_benchmark(STEADY, [64], [], 1), DomainError),
@@ -148,7 +151,8 @@ def test_checkers_on_greedy_replays():
     ids=[
         "needed-S", "needed-T", "gap-T", "gap-S", "coverage-mode", "coverage-T",
         "density-direction", "density-T", "bench-reversed-window", "bench-triple-window",
-        "bench-int-window", "bench-window-past-replay-cap", "bench-replicates",
+        "bench-int-window", "bench-window-past-replay-cap", "bench-steady-window-of-2**64-1",
+        "bench-deep-steady-window-past-replay-cap", "bench-replicates",
         "bench-no-sizes", "bench-no-windows", "bench-S", "bench-bool-window",
         "bench-bool-replicates", "bench-int-sizes", "bench-iterator-windows",
     ],
