@@ -68,6 +68,10 @@ ROWS = [
     ("stretched S=1024 reload at T=2**22", 5, _reload(
         "from streamsieve import STRETCHED, Surface\n"
         "Surface.from_hex(STRETCHED, 1024, 2**22, 8, '00' * 1024)"), None),
+    # a stretched write scans the gap buckets once: about 2.6 s on a 2-vCPU box
+    ("stretched S=2**16 reload at T=2**22", 15, _reload(
+        "from streamsieve import STRETCHED, Surface\n"
+        "Surface.from_hex(STRETCHED, 2**16, 2**22, 8, '00' * 2**16)"), None),
     # an all-steady hybrid looks up and reloads in closed form at the
     # deepest T the steady rule takes
     ("all-steady hybrid lookup at T=2**64-1", 5,

@@ -37,13 +37,14 @@ neighbour is evicted, and among items sharing a gap the heaviest one
 (oldest for tilted, newest for stretched) always scores strictly lowest, so
 a write compares one candidate per distinct gap.  Tilted writes every
 arrival.  Stretched writes rarely, and its state changes only in T between
-two writes, so the next write time is solved for after each write; a
-discard costs one compare, and a lookup or a reload jumps from write to
-write.  Every sequential caller in the package (ingest, reload, lookup,
-explode, vector generation) steps a ``Selector``, which validates (algo, S)
-once and owns its curators, or a curator of its own.  Only the pointwise
-``site_selection``/``*_assign``, and so ``check_vectors``, go through a
-lock-guarded per-(profile, S) replay memo.
+two writes, so one scan of the buckets after each write finds both the
+next write time and the item it evicts; a discard costs one compare, and
+a lookup or a reload jumps from write to write.  Every sequential caller
+in the package (ingest, reload, lookup, explode, vector generation) steps
+a ``Selector``, which validates (algo, S) once and owns its curators, or
+a curator of its own.  Only the pointwise ``site_selection``/``*_assign``,
+and so ``check_vectors``, go through a lock-guarded per-(profile, S)
+replay memo.
 
 ``_layout(algo, S)`` alone validates (algo, S) and decides how far it
 goes: with a greedy segment, capacity 2**size - 2 for the smallest one
@@ -396,28 +397,29 @@ class _GreedyCurator:
     distinct gap (about 2 more per doubling of T/S) plus O(log S) bucket
     edits and one list deletion, not an O(S) scan.
 
-    Stretched discards cost one compare: ``next_write`` is a lower bound
-    on the next arrival that can be written, 0 while every arrival is
-    (tilted, and any profile in the fill), and raised only by _schedule.
-    Why it is exact.  Between two writes only T changes: the buckets, the
-    newest time m and every interior score g / (b + 1) stay fixed, while
-    the discard score (T - m) / (T + 1) rises with T.
-    Bucket (g, b), b its newest member, beats the discard exactly when
-    g * (T + 1) < (T - m) * (b + 1), i.e. T * (b + 1 - g) > g + m * (b + 1).
-    If b + 1 <= g that never holds.  Otherwise it holds exactly from
+    Stretched discards cost one compare, and a write one scan of the
+    buckets, in _schedule.  ``next_write`` is a lower bound on the next
+    arrival that can be written, 0 while every arrival is (tilted, and any
+    profile in the fill), and raised only by _schedule.  Why it is exact.
+    Between two writes only T changes: the buckets, the newest time m and
+    every interior score g / (b + 1) stay fixed, while the discard score
+    (T - m) / (T + 1) rises with T.  Bucket (g, b), b its newest member,
+    beats the discard exactly when g * (T + 1) < (T - m) * (b + 1), i.e.
+    T * (b + 1 - g) > g + m * (b + 1).  So the bucket with the least
+    (g / (b + 1), b), the tie rule's pick, beats it first and wins there:
+    _schedule keeps it as ``winner`` and solves its inequality alone.  If
+    b + 1 <= g that never holds, and next_write is _NEVER (S=4 and S=8 get
+    there).  Otherwise it holds exactly from
     T = floor((g + m * (b + 1)) / (b + 1 - g)) + 1 on; a tie, T equal to
-    the floor, goes to the discard.  The arrival is discarded while no
-    bucket beats it, so the next write is the least of these thresholds,
-    and _NEVER when no bucket has b + 1 > g (S=4 and S=8 get there).  At
-    T = m + 1 the inequality fails for every bucket, since b + 1 <= m <
-    g * (m + 2); so the threshold is recomputed after each write, from the
-    buckets as the write left them, and always lies past it.  The schedule
-    holds for any retained set, so ``resume`` computes it too.  A step at
-    or past ``next_write`` scans the buckets as above, and some bucket
-    beats the discard there.
+    the floor, goes to the discard.  At T = m + 1 the inequality fails for
+    every bucket, since b + 1 <= m < g * (m + 2); so the schedule is
+    recomputed after each write, from the buckets as the write left them,
+    and always lies past it.  It holds for any retained set, so ``resume``
+    computes it too.  A step at or past ``next_write`` evicts the winner,
+    unchanged since, without a second scan.
     """
 
-    __slots__ = ("S", "tilted", "T", "times", "sites", "buckets", "next_write")
+    __slots__ = ("S", "tilted", "T", "times", "sites", "buckets", "next_write", "winner")
 
     def __init__(self, S: int, tilted: bool):
         self.S = S
@@ -441,17 +443,17 @@ class _GreedyCurator:
             self._schedule()
 
     def _schedule(self) -> None:
-        # stretched after the fill: the first arrival that some interior
-        # item outscores, from the inequality in the class docstring
-        newest = self.times[-1]
-        first = _NEVER
-        for g, bucket in self.buckets.items():
-            w = bucket[-1] + 1
-            if w > g:
-                t = (g + newest * w) // (w - g) + 1
-                if t < first:
-                    first = t
-        self.next_write = first
+        # stretched after the fill: the next write evicts from the bucket
+        # with the least (g / (b + 1), b), at the first arrival it outscores
+        g, w, winner = 1, 0, None  # 1 / 0 scores above every bucket
+        for gap, bucket in self.buckets.items():
+            weight = bucket[-1] + 1
+            x = gap * w
+            y = g * weight
+            if x <= y and (x < y or weight < w):
+                g, w, winner = gap, weight, bucket
+        self.winner = g, w - 1, winner
+        self.next_write = (g + self.times[-1] * w) // (w - g) + 1 if w > g else _NEVER
 
     def skip_to(self, T: int) -> None:
         """Advance to arrival T, jumping from write to write while stretched
@@ -480,11 +482,10 @@ class _GreedyCurator:
         buckets = self.buckets
         last = len(times) - 1
         newest = times[last]
-        # best is the winner's bucket; None while the newest item (or the
-        # discard) leads.  Ties go to the smaller time, and discard is -1.
-        # One loop per profile keeps a per-candidate branch out of the loop.
+        # best is the winner's bucket; None while the newest item leads
         if self.tilted:
-            # the arrival's age weight is 0, so tilted never discards
+            # the arrival's age weight is 0, so tilted never discards; ties
+            # go to the smaller time
             best_n, best_d, best_b, best = T - times[last - 1], T - newest, newest, None
             for g, bucket in buckets.items():
                 b = bucket[0]
@@ -494,17 +495,8 @@ class _GreedyCurator:
                 if x <= y and (x < y or b < best_b):
                     best_n, best_d, best_b, best = g, d, b, bucket
         else:
-            # the newest item's gap exceeds T - newest and its weight is
-            # below T + 1, so it always scores above the discard: never wins.
-            # T >= next_write, so some bucket beats the discard.
-            best_n, best_d, best_b, best = T - newest, T + 1, -1, None
-            for g, bucket in buckets.items():
-                b = bucket[-1]
-                d = b + 1
-                x = g * best_d
-                y = best_n * d
-                if x <= y and (x < y or b < best_b):
-                    best_n, best_d, best_b, best = g, d, b, bucket
+            # T >= next_write, so _schedule's winner beats the discard
+            best_n, best_b, best = self.winner
         if best is None:
             # the newest goes; its left neighbour now reaches to T
             idx = last

@@ -159,8 +159,8 @@ def _cmd_validate(args) -> int:
         except StreamSieveError as exc:
             raise _UsageError(exc)
         with _open(args.generate, "w") as fileobj:
-            write_vectors_csv(fileobj, vectors)
-        print(f"wrote {len(vectors)} vectors to {args.generate}", file=sys.stderr)
+            count = write_vectors_csv(fileobj, vectors)
+        print(f"wrote {count} vectors to {args.generate}", file=sys.stderr)
         return 0
     try:
         with _open(args.check) as fileobj:

@@ -1,10 +1,11 @@
 """Conformance vectors: freeze selections to a file, re-check them later.
 
-A vector row is (algorithm token, S, T, expected sites).  generate walks
-each layout forward once with a ``Selector``: every T of a grid capped at
-the layout's capacity, then for steady a seeded sample of large T that the
-walk seeks to, exercising the closed form far past the grid.  check
-recomputes each row pointwise; output is byte-deterministic for fixed flags.
+A vector row is (algorithm token, S, T, expected sites).  generate checks
+everything first, then walks each layout forward once with a ``Selector``,
+yielding rows as it goes: every T of a grid capped at the layout's
+capacity, then for steady a seeded sample of large T that the walk seeks
+to, exercising the closed form far past the grid.  check recomputes each
+row pointwise; output is byte-deterministic for fixed flags.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import csv
 import random
 from itertools import chain
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .algorithms import (
     MIN_SITE_COUNT,
@@ -56,8 +57,8 @@ def generate_vectors(
     max_t: int,
     steady_extra: int = 6,
     seed: int = DEFAULT_SEED,
-) -> list[TestVector]:
-    """Exhaustive grid plus sampled large-T steady rows.
+) -> Iterator[TestVector]:
+    """Exhaustive grid plus sampled large-T steady rows, as an iterator.
 
     ``algos`` is a sequence of algorithm tokens.  For each algorithm the
     grid covers every power-of-two S in [4, max_s] (a hybrid instead uses
@@ -65,7 +66,7 @@ def generate_vectors(
     ``steady_extra`` large-T rows per steady S are drawn from
     [max_t, max_t + 2**48) with the given seed.  Each layout is one
     ``Selector`` walk, refused for its last row, or for a grid of more than
-    REPLAY_CAP rows, before its first is built.
+    REPLAY_CAP rows, before any row is built; rows are built as taken.
     DomainError names the first bound that is not an int (1.0 and True are
     not), or a negative max_t.
     """
@@ -75,7 +76,7 @@ def generate_vectors(
     if max_t < 0:
         raise DomainError("max_t must not be negative")
     rng = random.Random(seed)
-    vectors: list[TestVector] = []
+    walks = []
     for token in algos:
         algo = parse_algorithm(token)
         for S in _grid_sizes(algo, max_s):
@@ -86,13 +87,18 @@ def generate_vectors(
             extra = sorted(rng.randrange(max_t, max_t + LARGE_T_SPAN) for _ in range(draws))
             last = extra[-1] if extra else grid[-1] if grid else -1
             _refuse(algo, S, last + 1, selector.capacity, selector.reload_limit)
-            # every grid row is held, so a grid is walked no further than replay
+            # a grid is walked no further than replay
             # (len() of a range past 2**63 overflows; its stop does not)
             _refuse(algo, S, rows, None, REPLAY_CAP)
-            for T in chain(grid, extra):
-                selector.seek(T)
-                vectors.append(TestVector(token, S, T, selector.step()))
-    return vectors
+            walks.append((token, S, selector, chain(grid, extra)))
+    return _walk(walks)
+
+
+def _walk(walks) -> Iterator[TestVector]:
+    for token, S, selector, Ts in walks:
+        for T in Ts:
+            selector.seek(T)
+            yield TestVector(token, S, T, selector.step())
 
 
 def check_vectors(vectors) -> list[str]:
@@ -133,13 +139,16 @@ def check_vectors(vectors) -> list[str]:
     return mismatches
 
 
-def write_vectors_csv(fileobj, vectors) -> None:
+def write_vectors_csv(fileobj, vectors) -> int:
+    """Write the header, then each vector as it comes; returns the count."""
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(VECTOR_FIELDS)
-    for vec in vectors:
+    count = 0
+    for count, vec in enumerate(vectors, 1):
         writer.writerow(
             [vec.algo, vec.S, vec.T, ";".join(str(k) for k in vec.expected)]
         )
+    return count
 
 
 def read_vectors_csv(fileobj) -> list[TestVector]:

@@ -951,7 +951,7 @@ def test_stretched_next_write_matches_scan(S, count, never):
 
 
 @pytest.mark.parametrize("T2", [2**40, 2**63], ids=["2**40", "2**63"])
-@pytest.mark.parametrize("S", [64, 256])
+@pytest.mark.parametrize("S", [64, 256, 1024])
 def test_stretched_skip_ahead_is_consistent_at_depth(S, T2):
     """No oracle reaches this deep: jumping straight to T2 must equal
     stopping at a seeded T1 < T2, resuming from that table and jumping on."""
