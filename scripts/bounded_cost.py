@@ -72,6 +72,13 @@ ROWS = [
     ("stretched S=2**16 reload at T=2**22", 15, _reload(
         "from streamsieve import STRETCHED, Surface\n"
         "Surface.from_hex(STRETCHED, 2**16, 2**22, 8, '00' * 2**16)"), None),
+    # the largest legal dump, every slot at its widest value: a linear pack
+    # (the former shift loop: about 24 min, extrapolated)
+    ("to_hex of the largest legal surface", 5, [sys.executable, "-c",
+     "from streamsieve import STEADY, Surface\n"
+     "s = Surface(STEADY, 2**20, 64)\n"
+     "s.slots = [2**64 - 1] * 2**20\n"
+     "s.to_hex()"], None),
     # an all-steady hybrid looks up and reloads in closed form at the
     # deepest T the steady rule takes
     ("all-steady hybrid lookup at T=2**64-1", 5,

@@ -215,6 +215,14 @@ def test_hex_round_trip(S, value_bits, rng):
     assert unpack_slots_hex(text, S, value_bits) == slots
 
 
+def _shift_pack(slots, value_bits):
+    # the former quadratic encoder, kept as the oracle for the linear one
+    acc = 0
+    for v in slots:
+        acc = (acc << value_bits) | v
+    return format(acc, f"0{len(slots) * value_bits // 4}x")
+
+
 def _shift_unpack(text, S, value_bits):
     # the former quadratic decoder, kept as the oracle for the linear one
     acc = int(text, 16)
@@ -242,6 +250,30 @@ def test_linear_unpack_of_the_largest_dump():
     S = 1 << 20
     slots = list(random.Random(20).randbytes(S))
     assert unpack_slots_hex(bytes(slots).hex(), S, 8) == slots
+
+
+@pytest.mark.parametrize("value_bits", [1, 8, 16, 32, 64])
+def test_linear_pack_matches_the_shift_loop(value_bits):
+    rng = random.Random(value_bits)
+    for S in (4, 8, 16, 64, 256, 1024, 4096):
+        # random values, plus every slot at its extremes
+        for slots in (
+            [rng.getrandbits(value_bits) for _ in range(S)],
+            [0] * S,
+            [(1 << value_bits) - 1] * S,
+        ):
+            assert pack_slots_hex(slots, value_bits) == _shift_pack(slots, value_bits)
+    # any sequence of ints packs, not only a list
+    slots = tuple(rng.getrandbits(value_bits) for _ in range(64))
+    assert pack_slots_hex(slots, value_bits) == _shift_pack(slots, value_bits)
+
+
+@pytest.mark.parametrize("value_bits", [1, 64])
+def test_linear_pack_of_the_largest_dump(value_bits):
+    S = 1 << 20
+    rng = random.Random(value_bits)
+    slots = [rng.getrandbits(value_bits) for _ in range(S)]
+    assert unpack_slots_hex(pack_slots_hex(slots, value_bits), S, value_bits) == slots
 
 
 @pytest.mark.parametrize(
