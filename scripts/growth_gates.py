@@ -8,6 +8,10 @@ call to one call.  A linear call reads about 16x and a quadratic one 256x;
 a gate fails above 64x, halfway between the two on a log scale.  The
 script prints each gate's times and ratio, and exits 1 when any gate fails.
 
+The gates: pack and unpack at 1, 8 and 64 bits; ``lookup_steady_fast`` at
+T=2**64-1; and one tilted greedy step past the fill, with both curators
+stepped to the same T=2**17 first (about 4 s), whose list edits are O(S).
+
 The package need only be importable, as from a checkout:
 
     PYTHONPATH=src python scripts/growth_gates.py
@@ -19,7 +23,8 @@ import random
 import sys
 import time
 
-from streamsieve import pack_slots_hex, unpack_slots_hex
+from streamsieve import lookup_steady_fast, pack_slots_hex, unpack_slots_hex
+from streamsieve.algorithms import _GreedyCurator
 
 SMALL, LARGE = 2**12, 2**16
 REPEATS = 9
@@ -45,11 +50,20 @@ def _unpack(value_bits: int):
     return make
 
 
+def _tilted_step(S: int):
+    # each call is one more arrival; the 153 timed barely move T past 2**17
+    curator = _GreedyCurator(S, True)
+    curator.skip_to(2 * LARGE)
+    return curator.step
+
+
 # (the call and its width, a maker that takes S and returns the call on
 # fixed inputs of that size)
 GATES = [
     *((f"pack_slots_hex {bits}-bit", _pack(bits)) for bits in (1, 8, 64)),
     *((f"unpack_slots_hex {bits}-bit", _unpack(bits)) for bits in (1, 8, 64)),
+    ("lookup_steady_fast T=2**64-1", lambda S: lambda: lookup_steady_fast(S, 2**64 - 1)),
+    ("tilted step at T=2**17", _tilted_step),
 ]
 
 

@@ -35,7 +35,9 @@ evaluated by stepping this rule forward from T=0 (``_GreedyCurator``), and
 a step never scans all S items: an interior item's gap only changes when a
 neighbour is evicted, and among items sharing a gap the heaviest one
 (oldest for tilted, newest for stretched) always scores strictly lowest, so
-a write compares one candidate per distinct gap.  Tilted writes every
+a write compares one candidate per distinct gap.  Every write then takes
+one path: evict, append the arrival, and refile the evicted item's two
+neighbours and the previous newest.  Tilted writes every
 arrival.  Stretched writes rarely, and its state changes only in T between
 two writes, so one scan of the buckets after each write finds both the
 next write time and the item it evicts; a discard costs one compare, and
@@ -391,11 +393,13 @@ class _GreedyCurator:
     that discard and is skipped.  Every comparison is exact integer
     cross-multiplication.
 
-    An eviction re-buckets at most three items: the evicted item's left
-    and right neighbours and the previous newest, which becomes interior.
-    A discard changes no bucket.  A step therefore costs one comparison per
-    distinct gap (about 2 more per doubling of T/S) plus O(log S) bucket
-    edits and one list deletion, not an O(S) scan.
+    An eviction takes one path: the winner leaves its bucket (the newest is
+    in none), the lists drop it and append the arrival, and the three items
+    whose gaps changed are refiled: the left neighbour, an interior right
+    neighbour and the previous newest, which becomes interior.  A discard
+    changes no bucket.  A step therefore costs one comparison per distinct
+    gap (about 2 more per doubling of T/S) plus O(log S) bucket edits and
+    one list deletion, not an O(S) scan.
 
     Stretched discards cost one compare, and a write one scan of the
     buckets, in _schedule.  ``next_write`` is a lower bound on the next
@@ -481,12 +485,11 @@ class _GreedyCurator:
             return T
         buckets = self.buckets
         last = len(times) - 1
-        newest = times[last]
         # best is the winner's bucket; None while the newest item leads
         if self.tilted:
             # the arrival's age weight is 0, so tilted never discards; ties
             # go to the smaller time
-            best_n, best_d, best_b, best = T - times[last - 1], T - newest, newest, None
+            best_n, best_d, best_b, best = T - times[last - 1], T - times[last], times[last], None
             for g, bucket in buckets.items():
                 b = bucket[0]
                 d = T - b
@@ -497,34 +500,25 @@ class _GreedyCurator:
         else:
             # T >= next_write, so _schedule's winner beats the discard
             best_n, best_b, best = self.winner
-        if best is None:
-            # the newest goes; its left neighbour now reaches to T
-            idx = last
-            pp = times[last - 2]
-            _rebucket(buckets, times[last - 1], newest - pp, T - pp)
-        else:
-            if len(best) == 1:
+        idx = last if best is None else bisect_left(times, best_b)
+        if idx < last:  # the winner leaves its bucket; the newest is in none
+            del best[0 if self.tilted else -1]
+            if not best:
                 del buckets[best_n]
-            elif self.tilted:
-                del best[0]
-            else:
-                best.pop()
-            idx = bisect_left(times, best_b)
-            prev = times[idx - 1] if idx else -1
-            nxt = times[idx + 1]
-            if idx:
-                pp = times[idx - 2] if idx > 1 else -1
-                _rebucket(buckets, prev, best_b - pp, nxt - pp)
-            if idx + 1 < last:
-                nn = times[idx + 2]
-                _rebucket(buckets, nxt, nn - best_b, nn - prev)
-                _rebucket(buckets, newest, 0, T - times[last - 1])
-            else:  # the right neighbour is the previous newest
-                _rebucket(buckets, nxt, 0, T - prev)
         site = sites.pop(idx)
         del times[idx]
         times.append(T)
         sites.append(site)
+        # refile, at their new indices, the three items whose gaps changed
+        prev = times[idx - 1] if idx else -1
+        if idx:  # the left neighbour now reaches to the right one, or to T
+            pp = times[idx - 2] if idx > 1 else -1
+            _rebucket(buckets, prev, best_b - pp, times[idx] - pp)
+        if idx + 1 < last:  # an interior right neighbour now reaches back to prev
+            nn = times[idx + 1]
+            _rebucket(buckets, times[idx], nn - best_b, nn - prev)
+        if idx < last:  # the previous newest is interior now
+            _rebucket(buckets, times[last - 1], 0, T - times[last - 2])
         if not self.tilted:
             self._schedule()
         return site

@@ -155,6 +155,10 @@ def test_hex_examples():
             unpack_slots_hex("f" * (count // 4), count, 1)
 
 
+class _Int(int):
+    pass
+
+
 @pytest.mark.parametrize(
     "slots, value_bits, bad",
     [
@@ -167,12 +171,26 @@ def test_hex_examples():
         ([0, 0, 0, False], 1, "slot 3 holds False"),
         ([1.5, 0, 0, 0], 8, r"slot 0 holds 1\.5"),
         (["7", 0, 0, 0], 8, "slot 0 holds '7'"),
+        # struct and bytes() would take an int subclass as they take a bool
+        ([_Int(1), 0, 0, 0], 8, "slot 0 holds 1"),
+        ([0, 0, 1.0, 0], 1, r"slot 2 holds 1\.0"),
+        # a 1-bit pack refuses every byte but 0 and 1, and what is no byte
+        *(([0, 1, v, 1], 1, f"slot 2 holds {v}") for v in (2, 32, 95, 255, 256, -1)),
+        ([0, 1, 0, 10**5000], 64, "slot 3 holds a positive int of 16610 bits"),
+        ([0, -(10**5000), 0, 0], 64, "slot 1 holds a negative int of 16610 bits"),
+        # two faults, the first named; "0_1 " would read as 1
+        ([0, 95, 1, 32], 1, "slot 1 holds 95"),
     ],
-    ids=["too-wide", "negative", "bit", "u64", "bool", "bool-bit", "float", "str"],
+    ids=[
+        "too-wide", "negative", "bit", "u64", "bool", "bool-bit", "float", "str", "int-subclass",
+        "float-bit", "bit-2", "bit-32", "bit-95", "bit-255", "bit-256", "bit-neg", "u64-huge",
+        "u64-huge-neg", "two-faults",
+    ],
 )
 def test_pack_refuses_values_that_do_not_fit(slots, value_bits, bad):
     # '012c' and '-001' before: the value bled into its neighbour, or a sign;
-    # '01020000' for the bool, and a TypeError for the float and the str
+    # '01020000' for the bool, and a TypeError for the float and the str.
+    # At 1 bit a 32 or a 95 must not pack as " " or "_", which int() can read
     with pytest.raises(DomainError, match=f"^{bad}, which does not fit in {value_bits} bits$"):
         pack_slots_hex(slots, value_bits)
 
