@@ -10,7 +10,8 @@ script prints each gate's times and ratio, and exits 1 when any gate fails.
 
 The gates: pack and unpack at 1, 8 and 64 bits; ``lookup_steady_fast`` at
 T=2**64-1; and one tilted greedy step past the fill, with both curators
-stepped to the same T=2**17 first (about 4 s), whose list edits are O(S).
+stepped to the same T=2**17 first (about 3 s on a 2-vCPU box), whose list
+edits are O(S).
 
 The package need only be importable, as from a checkout:
 

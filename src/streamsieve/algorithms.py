@@ -29,15 +29,18 @@ each arrival scores every retained item b as (gap left by removing b) over
 (weight of b), plus a discard score (tail gap) over (weight of the arrival
 itself); the minimum wins.  Weights are depth+1 for stretched and age for
 tilted, so the arriving item's tilted weight is zero and tilted never
-discards.  Scores are compared by exact integer cross-multiplication, ties
-preferring discard and then the smallest candidate.  Both profiles are
-evaluated by stepping this rule forward from T=0 (``_GreedyCurator``), and
-a step never scans all S items: an interior item's gap only changes when a
-neighbour is evicted, and among items sharing a gap the heaviest one
-(oldest for tilted, newest for stretched) always scores strictly lowest, so
-a write compares one candidate per distinct gap.  Every write then takes
-one path: evict, append the arrival, and refile the evicted item's two
-neighbours and the previous newest.  Tilted writes every
+discards.  Stretched scores are compared by exact integer
+cross-multiplication.  A tilted score is one float quotient, whose order is
+exact because its terms stay below 2**25: every path holds a tilted layout
+to REPLAY_CAP.  Ties prefer discard and then the smallest candidate.
+Both profiles are evaluated by stepping this rule forward from T=0
+(``_GreedyCurator``), and a step never scans all S items: an interior
+item's gap only changes when a neighbour is evicted, and among items
+sharing a gap the heaviest one (oldest for tilted, newest for stretched)
+always scores strictly lowest, so a write compares one candidate per
+distinct gap.  Every write then takes one path: evict, append the arrival,
+and refile the evicted item's two neighbours and the previous newest.  The
+fill only appends, so a seek takes it in one step.  Tilted writes every
 arrival.  Stretched writes rarely, and its state changes only in T between
 two writes, so one scan of the buckets after each write finds both the
 next write time and the item it evicts; a discard costs one compare, and
@@ -58,9 +61,8 @@ hybrid is resolved once, as its ``Algorithm`` is built, and kept on it.
 Every path that takes a layout to n arrivals (n = T + 1 for pointwise
 selection) refuses through ``_refuse``: the limit (ReplayLimitError),
 then capacity (CapacityError).  Only the replay oracle ``lookup_replay``
-holds every layout to REPLAY_CAP, and the lazy ``selection_stream`` to
-capacity only; the kernels ``steady_assign``, ``epoch`` and
-``hanoi_value`` take any T.
+holds every layout to REPLAY_CAP; the kernels ``steady_assign``, ``epoch``
+and ``hanoi_value`` take any T.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ import threading
 from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from math import inf
 
 from .errors import CapacityError, ConfigurationError, DomainError, ReplayLimitError, _clip
 
@@ -78,7 +81,7 @@ MAX_SITE_COUNT = 1 << 20
 # replay work is O(T); beyond this it stops being a sane thing to do inline
 REPLAY_CAP = 1 << 22
 # a stretched curator's next_write once no arrival can be written again
-_NEVER = float("inf")
+_NEVER = inf
 # the steady closed-form lookup takes T up to this
 MAX_STEADY_T = (1 << 64) - 1
 
@@ -378,7 +381,8 @@ class _GreedyCurator:
     gap -> sorted times, where an item's gap is n = next - prev (prev = -1
     before the oldest).  step() scores the current arrival, applies the
     outcome, and returns the selected site (None = discard).  The fill
-    only appends; the arrival that fills the buffer ``resume``s from it.
+    only appends, one arrival a step or all at once in ``skip_to``; the
+    arrival that fills the buffer ``resume``s from it.
 
     Why one candidate per bucket is exact.  An interior item b scores n / w,
     where n is fixed until a neighbour is evicted and the weight w is T - b
@@ -390,8 +394,19 @@ class _GreedyCurator:
     scan of all S items picks.  The newest item's score and the stretched
     discard (T - newest) / (T + 1) depend on T, so they are scored directly;
     a stretched newest item, (T - prev) / (newest + 1), always scores above
-    that discard and is skipped.  Every comparison is exact integer
+    that discard and is skipped.  Stretched compares by exact integer
     cross-multiplication.
+
+    Why one float per tilted candidate is exact.  Tilted scores each
+    candidate g / (T - b) as one float (inf at an age of 0, which only a
+    resumed state can hold) and keeps the least by <, the smaller time on
+    ==.  Its terms are at most T + 1 <= REPLAY_CAP + 1, below 2**25, since
+    every path holds a tilted layout to REPLAY_CAP.  CPython divides ints
+    below 2**53 with correct rounding, so each quotient is off by at most
+    2**-53 of itself.  Two distinct fractions g1 / d1 < g2 / d2 differ by
+    at least 1 / (d1 * d2), which is 1 / (d1 * g2) > 2**-50 of the larger:
+    their quotients keep their order.  Equal fractions round to the same
+    double, so the tie rule sees the ties the integers see.
 
     An eviction takes one path: the winner leaves its bucket (the newest is
     in none), the lists drop it and append the arrival, and the three items
@@ -460,8 +475,18 @@ class _GreedyCurator:
         self.next_write = (g + self.times[-1] * w) // (w - g) + 1 if w > g else _NEVER
 
     def skip_to(self, T: int) -> None:
-        """Advance to arrival T, jumping from write to write while stretched
-        discards; at a next_write of 0 (tilted, the fill) each arrival steps."""
+        """Advance to arrival T.  The fill only appends, so it is taken in
+        one step: arrival t goes to site t, and the arrival that fills the
+        buffer ``resume``s from it, as ``step`` does.  Past the fill, jump
+        from write to write while stretched discards; at a next_write of 0
+        (tilted) each arrival steps."""
+        fill = range(self.T, min(T, self.S))
+        if fill:
+            self.times += fill
+            self.sites += fill
+            self.T = fill.stop
+            if self.T == self.S:  # the buffer is full: file it, schedule
+                self.resume(self.T, self.times, self.sites)
         while self.T < T:
             if self.T < self.next_write:  # stretched, between two writes
                 if self.next_write >= T:
@@ -488,15 +513,16 @@ class _GreedyCurator:
         # best is the winner's bucket; None while the newest item leads
         if self.tilted:
             # the arrival's age weight is 0, so tilted never discards; ties
-            # go to the smaller time
-            best_n, best_d, best_b, best = T - times[last - 1], T - times[last], times[last], None
+            # go to the smaller time.  A score is one float, exact in order
+            # below 2**25 (class docstring); an age of 0 scores inf
+            best_b = times[last]
+            best_s = (T - times[last - 1]) / (T - best_b) if T > best_b else inf
+            best_n = best = None
             for g, bucket in buckets.items():
                 b = bucket[0]
-                d = T - b
-                x = g * best_d
-                y = best_n * d
-                if x <= y and (x < y or b < best_b):
-                    best_n, best_d, best_b, best = g, d, b, bucket
+                s = g / (T - b)
+                if s <= best_s and (s < best_s or b < best_b):
+                    best_s, best_n, best_b, best = s, g, b, bucket
         else:
             # T >= next_write, so _schedule's winner beats the discard
             best_n, best_b, best = self.winner
@@ -657,11 +683,12 @@ def selection_stream(algo: Algorithm, S: int, count: int):
     """Yield the selection for each T in [0, count) as a tuple of sites.
 
     One incremental pass through a private Selector, so greedy profiles
-    never re-derive a step.  Capacity is checked up front.
+    never re-derive a step.  The count is refused up front, past the
+    layout's limit and then its capacity.
     """
     selector = Selector(algo, S)
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise DomainError(f"count must be a non-negative integer, got {_clip(count)}")
-    _refuse(algo, S, count, selector.capacity, None)
+    _refuse(algo, S, count, selector.capacity, selector.reload_limit)
     step = selector.step
     return (step() for _ in range(count))

@@ -1,9 +1,10 @@
 """Unit tests for the site-selection rules and bit kernels."""
 
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamsieve import (
@@ -359,6 +360,7 @@ def test_every_entry_point_refuses_with_one_class(algo, S, T, error):
         lambda: explode_row(algo, S, T + 1, 8, "00" * S),
         lambda: Surface.from_hex(algo, S, T + 1, 8, "00" * S),
         lambda: run_benchmark(algo, [S], [(0, T + 1)], 1),
+        lambda: selection_stream(algo, S, T + 1),
     ]
     if algo == STEADY:
         calls.append(lambda: lookup_steady_fast(S, T + 1))
@@ -857,6 +859,63 @@ def test_tilted_skip_to_matches_stepping(S, stop):
             assert (curator.times, curator.sites, curator.buckets, curator.next_write) == state, T
 
 
+# every tilted score's terms are at most this: T + 1 at the replay cap
+TERM_TOP = REPLAY_CAP + 1
+
+
+def _assert_float_order_is_exact(g1, d1, g2, d2):
+    assert (g1 / d1 < g2 / d2) == (g1 * d2 < g2 * d1), (g1, d1, g2, d2)
+    assert (g1 / d1 == g2 / d2) == (g1 * d2 == g2 * d1), (g1, d1, g2, d2)
+
+
+@given(*[st.integers(min_value=1, max_value=TERM_TOP)] * 4)
+@example(TERM_TOP - 2, TERM_TOP - 1, TERM_TOP - 1, TERM_TOP)  # (n-1)/n, n/(n+1)
+@example(1, 3, 1398101, 4194303)  # 1/3 in other terms
+def test_tilted_float_scores_order_as_the_integers_do(g1, d1, g2, d2):
+    """The tilted scan compares g / (T - b) as floats; below 2**25 that
+    order, ties included, is the cross-multiplication's."""
+    _assert_float_order_is_exact(g1, d1, g2, d2)
+    _assert_float_order_is_exact(g2, d2, g1, d1)
+
+
+def test_tilted_float_scores_order_adjacent_and_equal_fractions():
+    """The closest distinct fractions near the top of the range, Farey
+    neighbours a/b and c/d with |a*d - b*c| = 1, and equal fractions in
+    other terms, keep their order and their ties as floats."""
+    rng = random.Random(TERM_TOP)
+    for _ in range(2000):
+        b = rng.randrange(TERM_TOP // 2, TERM_TOP + 1)
+        a = rng.randrange(1, b)
+        while math.gcd(a, b) != 1:
+            a = rng.randrange(1, b)
+        d = pow(a, -1, b)  # a * d - b * c = 1; b - d is the other neighbour
+        c = (a * d - 1) // b
+        for g, w in ((c, d), (a - c, b - d)):
+            if g:
+                _assert_float_order_is_exact(a, b, g, w)
+                _assert_float_order_is_exact(g, w, a, b)
+        # p/q in its lowest terms, in the largest ones the range allows,
+        # and in the next largest
+        p, q = rng.randrange(1, 1 << 12), rng.randrange(1, 1 << 12)
+        k = TERM_TOP // max(p, q)
+        _assert_float_order_is_exact(p, q, p * k, q * k)
+        _assert_float_order_is_exact(p * (k - 1), q * (k - 1), p * k, q * k)
+
+
+def test_every_tilted_layout_keeps_its_terms_below_2_to_the_25():
+    """The float order is exact only below 2**25: every layout with a
+    tilted segment, scalar or hybrid, is limited to fewer arrivals."""
+    layouts = [(TILTED, 1 << s) for s in range(2, 21)]
+    layouts += [
+        (hybrid(("steady", 4), ("tilted", 4)), 8),
+        (hybrid(("tilted", 1 << 19), ("stretched", 1 << 19)), 1 << 20),
+        (hybrid(("stretched", 4), ("steady", 8), ("tilted", 4)), 16),
+    ]
+    for algo, S in layouts:
+        _, _, limit = _layout(algo, S)
+        assert limit + 1 < 2**25, (algo, S)
+
+
 @pytest.mark.parametrize("tilted", [False, True])
 def test_gap_bucket_curator_matches_scan(tilted):
     """The bucketed step picks exactly what the O(S) scan picks, every step."""
@@ -886,9 +945,62 @@ def test_a_curator_resumed_in_the_fill_matches_a_straight_one(tilted):
                     assert state(resumed) == state(straight), (S, at, T)
 
 
+def _curator_state(c):
+    # a tilted curator, or one in the fill, has no winner yet
+    return c.T, c.times, c.sites, c.buckets, c.next_write, getattr(c, "winner", None)
+
+
+FILL_HYBRID = hybrid(("tilted", 16), ("stretched", 16), ("steady", 32))
+
+
+@pytest.mark.parametrize(
+    "algo, S",
+    [(algo, S) for S in (4, 8, 64, 1024) for algo in (STRETCHED, TILTED)] + [(FILL_HYBRID, 64)],
+    ids=[f"{kind}{S}" for S in (4, 8, 64, 1024) for kind in ("stretched", "tilted")] + ["hybrid"],
+)
+def test_a_seek_takes_the_fill_as_one_step_per_arrival(algo, S):
+    """``skip_to`` appends the fill at once and ``Selector.seek`` calls it:
+    from a fresh curator, from mid-fill and seek after seek, both end in
+    the state of one ``step`` per arrival, at and around each fill's end."""
+    sizes = [size for kind, size, _ in _layout(algo, S)[0] if kind != "steady"]
+    targets = sorted({0, 1} | {T for n in {S, *sizes} for T in (n - 1, n, n + 1, 2 * n)})
+
+    def stepped(T):
+        selector = Selector(algo, S)
+        while selector.T < T:
+            selector.step()
+        return selector
+
+    def state(selector):
+        return selector.T, [None if c is None else _curator_state(c) for _, _, c in selector._parts]
+
+    expected = {T: state(stepped(T)) for T in targets}
+    for start in (0, 1, min(sizes) // 2):
+        chained = stepped(start)
+        for T in targets:
+            if T < start:
+                continue
+            chained.seek(T)
+            assert state(chained) == expected[T], (start, T, "chained")
+            selector = stepped(start)
+            selector.seek(T)
+            assert state(selector) == expected[T], (start, T)
+            for (_, _, curator), want in zip(selector._parts, expected[T][1]):
+                if curator is not None:  # a bare curator, as a reload steps one
+                    bare = _GreedyCurator(curator.S, curator.tilted)
+                    while bare.T < start:
+                        bare.step()
+                    bare.skip_to(T)
+                    assert _curator_state(bare) == want, (start, T, curator.S)
+
+
 @pytest.mark.parametrize("T", [2**40, 2**63], ids=["2**40", "2**63"])
 def test_gap_bucket_curator_matches_scan_at_depth(T):
-    """Resumed deep in the stream, big-integer comparisons still agree."""
+    """Resumed deep in the stream, big-integer comparisons still agree.
+
+    No path takes a tilted curator past REPLAY_CAP, and its float scores
+    are proven exact only below 2**25; on these seeded states they agree
+    with the scan's fractions too."""
     rng = random.Random(T)
     for S in (8, 64, 256):
         for tilted in (False, True):

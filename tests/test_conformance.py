@@ -154,6 +154,11 @@ def test_check_flags_single_corruption():
     assert "vector 5" in messages[0] and "steady" in messages[0]
 
 
+def test_expected_sites_may_be_a_list():
+    vectors = [TestVector("steady", 4, 1, [1]), TestVector("steady", 4, 1, [2])]
+    assert check_vectors(vectors) == ["vector 1 (steady S=4 T=1): expected [2], got [1]"]
+
+
 def test_check_reports_unevaluable_rows():
     vectors = [TestVector("stretched", 4, 200, (0,))]
     messages = check_vectors(vectors)
