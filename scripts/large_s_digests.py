@@ -4,9 +4,11 @@ For tilted and for stretched at S=2**16, a curator fills the buffer and then
 takes STEPS more arrivals.  A digest is the sha256 of one line per arrival
 past the fill, its ``expected_sites`` cell (the site, or empty for a
 discard) followed by '\\n', as in tests/test_digests.py.  Each profile runs
-twice, and both runs must give its frozen digest: straight through, and
+three times, and every run must give its frozen digest: straight through;
 with the second half taken by a fresh curator that ``resume``s from the
-first one's retained set at the half-way arrival.
+first one's retained set at the half-way arrival; and "sought", with the
+second half taken by a fresh curator that ``skip_to``s the half-way arrival
+(the fill at once, then stretched jumps from write to write).
 
 The digests were computed from the curator whose steps cost O(S) pointer
 moves; a faster curator must reproduce them.  They are too slow for the
@@ -38,8 +40,8 @@ def _digest(sites) -> str:
     ).hexdigest()
 
 
-def _runs(kind: str) -> tuple[list, list]:
-    # the post-fill selections of a straight run and of a resumed one
+def _runs(kind: str) -> tuple[list, list, list]:
+    # the post-fill selections of a straight run, a resumed one and a sought one
     tilted = kind == "tilted"
     straight = _GreedyCurator(S, tilted)
     for _ in range(S):
@@ -47,10 +49,13 @@ def _runs(kind: str) -> tuple[list, list]:
     head = [straight.step() for _ in range(STEPS // 2)]
     resumed = _GreedyCurator(S, tilted)
     resumed.resume(straight.T, list(straight.times), list(straight.sites))
+    sought = _GreedyCurator(S, tilted)
+    sought.skip_to(S + STEPS // 2)
     tail = STEPS - len(head)
     return (
         head + [straight.step() for _ in range(tail)],
         head + [resumed.step() for _ in range(tail)],
+        head + [sought.step() for _ in range(tail)],
     )
 
 
@@ -60,7 +65,7 @@ def main() -> int:
         start = time.perf_counter()
         runs = _runs(kind)
         seconds = time.perf_counter() - start
-        for name, sites in zip(("straight", "resumed"), runs):
+        for name, sites in zip(("straight", "resumed", "sought"), runs):
             digest = _digest(sites)
             ok = digest == frozen
             failed += not ok

@@ -40,16 +40,16 @@ sharing a gap the heaviest one (oldest for tilted, newest for stretched)
 always scores strictly lowest, so a write compares one candidate per
 distinct gap.  Every write then takes one path: evict, append the arrival,
 and refile the evicted item's two neighbours and the previous newest.  The
-fill only appends, so a seek takes it in one step.  Tilted writes every
-arrival.  Stretched writes rarely, and its state changes only in T between
-two writes, so one scan of the buckets after each write finds both the
-next write time and the item it evicts; a discard costs one compare, and
-a lookup or a reload jumps from write to write.  Every sequential caller
-in the package (ingest, reload, lookup, explode, vector generation) steps
-a ``Selector``, which validates (algo, S) once and owns its curators, or
-a curator of its own.  Only the pointwise ``site_selection``/``*_assign``,
-and so ``check_vectors``, go through a lock-guarded per-(profile, S)
-replay memo.
+fill only appends, so a seek appends it at once up to its last arrival,
+which steps.  Tilted writes every arrival.  Stretched writes rarely, and
+its state changes only in T between two writes, so one scan of the
+buckets after each write finds both the next write time and the item it
+evicts; a discard costs one compare, and a lookup or a reload jumps from
+write to write.  Every sequential caller in the package (ingest, reload,
+lookup, explode, vector generation) steps a ``Selector``, which validates
+(algo, S) once and owns its curators, or a curator of its own.  Only the
+pointwise ``site_selection``/``*_assign``, and so ``check_vectors``, go
+through a lock-guarded per-(profile, S) replay memo.
 
 ``_layout(algo, S)`` alone validates (algo, S) and decides how far it
 goes: with a greedy segment, capacity 2**size - 2 for the smallest one
@@ -381,8 +381,8 @@ class _GreedyCurator:
     gap -> sorted times, where an item's gap is n = next - prev (prev = -1
     before the oldest).  step() scores the current arrival, applies the
     outcome, and returns the selected site (None = discard).  The fill
-    only appends, one arrival a step or all at once in ``skip_to``; the
-    arrival that fills the buffer ``resume``s from it.
+    only appends, so ``skip_to`` appends all of it but its last arrival;
+    only step() takes the arrival that fills the buffer and ``resume``s.
 
     Why one candidate per bucket is exact.  An interior item b scores n / w,
     where n is fixed until a neighbour is evicted and the weight w is T - b
@@ -475,25 +475,20 @@ class _GreedyCurator:
         self.next_write = (g + self.times[-1] * w) // (w - g) + 1 if w > g else _NEVER
 
     def skip_to(self, T: int) -> None:
-        """Advance to arrival T.  The fill only appends, so it is taken in
-        one step: arrival t goes to site t, and the arrival that fills the
-        buffer ``resume``s from it, as ``step`` does.  Past the fill, jump
-        from write to write while stretched discards; at a next_write of 0
-        (tilted) each arrival steps."""
-        fill = range(self.T, min(T, self.S))
-        if fill:
-            self.times += fill
-            self.sites += fill
-            self.T = fill.stop
-            if self.T == self.S:  # the buffer is full: file it, schedule
-                self.resume(self.T, self.times, self.sites)
+        """Advance to arrival T; a T at or behind the curator is a no-op.
+        The fill only appends (arrival t to site t), so all of it but its
+        last arrival is taken at once; that one is stepped, and ``step``
+        files the full buffer.  Past the fill, stretched jumps from write to
+        write, and at a next_write of 0 (tilted) each arrival steps."""
+        fill = range(self.T, min(T, self.S - 1))
+        self.times += fill
+        self.sites += fill
+        self.T += len(fill)
         while self.T < T:
             if self.T < self.next_write:  # stretched, between two writes
-                if self.next_write >= T:
-                    break
-                self.T = self.next_write
-            self.step()
-        self.T = T
+                self.T = min(self.next_write, T)
+            else:
+                self.step()
 
     def step(self) -> int | None:
         T = self.T

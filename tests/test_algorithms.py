@@ -1,5 +1,6 @@
 """Unit tests for the site-selection rules and bit kernels."""
 
+import copy
 import math
 import random
 
@@ -950,6 +951,10 @@ def _curator_state(c):
     return c.T, c.times, c.sites, c.buckets, c.next_write, getattr(c, "winner", None)
 
 
+def _selector_state(selector):
+    return selector.T, [None if c is None else _curator_state(c) for _, _, c in selector._parts]
+
+
 FILL_HYBRID = hybrid(("tilted", 16), ("stretched", 16), ("steady", 32))
 
 
@@ -959,9 +964,10 @@ FILL_HYBRID = hybrid(("tilted", 16), ("stretched", 16), ("steady", 32))
     ids=[f"{kind}{S}" for S in (4, 8, 64, 1024) for kind in ("stretched", "tilted")] + ["hybrid"],
 )
 def test_a_seek_takes_the_fill_as_one_step_per_arrival(algo, S):
-    """``skip_to`` appends the fill at once and ``Selector.seek`` calls it:
-    from a fresh curator, from mid-fill and seek after seek, both end in
-    the state of one ``step`` per arrival, at and around each fill's end."""
+    """``skip_to`` appends the fill but its last arrival at once, and
+    ``Selector.seek`` calls it: from a fresh curator, from mid-fill and
+    seek after seek, both end in the state of one ``step`` per arrival,
+    at and around each fill's end."""
     sizes = [size for kind, size, _ in _layout(algo, S)[0] if kind != "steady"]
     targets = sorted({0, 1} | {T for n in {S, *sizes} for T in (n - 1, n, n + 1, 2 * n)})
 
@@ -971,20 +977,17 @@ def test_a_seek_takes_the_fill_as_one_step_per_arrival(algo, S):
             selector.step()
         return selector
 
-    def state(selector):
-        return selector.T, [None if c is None else _curator_state(c) for _, _, c in selector._parts]
-
-    expected = {T: state(stepped(T)) for T in targets}
+    expected = {T: _selector_state(stepped(T)) for T in targets}
     for start in (0, 1, min(sizes) // 2):
         chained = stepped(start)
         for T in targets:
             if T < start:
                 continue
             chained.seek(T)
-            assert state(chained) == expected[T], (start, T, "chained")
+            assert _selector_state(chained) == expected[T], (start, T, "chained")
             selector = stepped(start)
             selector.seek(T)
-            assert state(selector) == expected[T], (start, T)
+            assert _selector_state(selector) == expected[T], (start, T)
             for (_, _, curator), want in zip(selector._parts, expected[T][1]):
                 if curator is not None:  # a bare curator, as a reload steps one
                     bare = _GreedyCurator(curator.S, curator.tilted)
@@ -992,6 +995,64 @@ def test_a_seek_takes_the_fill_as_one_step_per_arrival(algo, S):
                         bare.step()
                     bare.skip_to(T)
                     assert _curator_state(bare) == want, (start, T, curator.S)
+
+
+# seek targets as offsets from S: the fill's last arrival is S - 1, so a
+# list near 0 crosses S - 1, S and S + 1 one seek at a time or in jumps
+_NEAR_FILL = st.lists(st.one_of(st.integers(-2, 2), st.integers(-64, 192)), max_size=12)
+
+
+@pytest.mark.parametrize("S", [4, 8, 16, 64])
+@pytest.mark.parametrize("tilted", [False, True], ids=["stretched", "tilted"])
+@settings(max_examples=40, deadline=None)
+@example(offsets=[12, 2])  # tilted S=8: skip_to(20), then skip_to(10)
+@example(offsets=[-2, -1, 0, 1, 2, 2, 1])
+@example(offsets=[-2, 0, 2, -2])
+@example(offsets=[-2, 1])
+@example(offsets=[-2, 2])
+@example(offsets=[-1, 1])
+@example(offsets=[-1, 2])
+@example(offsets=[0])
+@example(offsets=[1])
+@example(offsets=[2])
+@given(offsets=_NEAR_FILL)
+def test_skip_to_only_goes_forward(tilted, S, offsets):
+    """Seeks that repeat and drop back: after each, the curator holds the
+    state of a fresh one skipped straight to the furthest T so far."""
+    curator = _GreedyCurator(S, tilted)
+    furthest = 0
+    for offset in offsets:
+        T = max(S + offset, 0)
+        curator.skip_to(T)
+        furthest = max(furthest, T)
+        fresh = _GreedyCurator(S, tilted)
+        fresh.skip_to(furthest)
+        assert _curator_state(curator) == _curator_state(fresh), (T, furthest)
+
+
+SEEK_HYBRID = hybrid(("stretched", 4), ("steady", 8), ("tilted", 4))
+
+
+@settings(max_examples=60, deadline=None)
+@example(Ts=[2, 3, 4, 5, 5, 4, 14])
+@example(Ts=[3, 5, 0])
+@given(Ts=st.lists(st.integers(0, 14), max_size=12))
+def test_a_hybrid_selector_seeks_only_forward(Ts):
+    """Its greedy segments fill at T=4.  A seek forward or in place ends
+    where a fresh selector sought there ends; a seek back raises
+    DomainError and leaves the selector as it was."""
+    selector = Selector(SEEK_HYBRID, 16)
+    for T in Ts:
+        if T < selector.T:
+            before = copy.deepcopy(_selector_state(selector))
+            with pytest.raises(DomainError):
+                selector.seek(T)
+            assert _selector_state(selector) == before, T
+            continue
+        selector.seek(T)
+        fresh = Selector(SEEK_HYBRID, 16)
+        fresh.seek(T)
+        assert _selector_state(selector) == _selector_state(fresh), T
 
 
 @pytest.mark.parametrize("T", [2**40, 2**63], ids=["2**40", "2**63"])

@@ -159,6 +159,14 @@ def test_expected_sites_may_be_a_list():
     assert check_vectors(vectors) == ["vector 1 (steady S=4 T=1): expected [2], got [1]"]
 
 
+def test_expected_sites_that_are_not_iterable_are_a_mismatch():
+    vectors = [TestVector("steady", 4, 1, None), TestVector("steady", 4, 1, 5)]
+    assert check_vectors(vectors) == [
+        "vector 0 (steady S=4 T=1): expected None, got [1]",
+        "vector 1 (steady S=4 T=1): expected 5, got [1]",
+    ]
+
+
 def test_check_reports_unevaluable_rows():
     vectors = [TestVector("stretched", 4, 200, (0,))]
     messages = check_vectors(vectors)
