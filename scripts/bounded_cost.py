@@ -79,6 +79,12 @@ ROWS = [
      "s = Surface(STEADY, 2**20, 64)\n"
      "s.slots = [2**64 - 1] * 2**20\n"
      "s.to_hex()"], None),
+    # the same surface holding its typed slot array, as a reload leaves it:
+    # about 0.15 s on a 2-vCPU box, most of it the 16 MiB of hex both ways
+    ("to_hex of the largest legal surface, reloaded", 5, _reload(
+        "from streamsieve import STEADY, Surface\n"
+        "s = Surface.from_hex(STEADY, 2**20, 2**20, 64, 'f' * 2**24)\n"
+        "s.to_hex()"), None),
     # an all-steady hybrid looks up and reloads in closed form at the
     # deepest T the steady rule takes
     ("all-steady hybrid lookup at T=2**64-1", 5,

@@ -8,10 +8,11 @@ call to one call.  A linear call reads about 16x and a quadratic one 256x;
 a gate fails above 64x, halfway between the two on a log scale.  The
 script prints each gate's times and ratio, and exits 1 when any gate fails.
 
-The gates: pack and unpack at 1, 8 and 64 bits; ``lookup_steady_fast`` at
-T=2**64-1; and one tilted greedy step past the fill, with both curators
-stepped to the same T=2**17 first (about 3 s on a 2-vCPU box), whose list
-edits are O(S).
+The gates: pack and unpack at 1, 8 and 64 bits; ``Surface.to_hex`` at the
+same widths, from the typed slot array a reload leaves;
+``lookup_steady_fast`` at T=2**64-1; and one tilted greedy step past the
+fill, with both curators stepped to the same T=2**17 first (about 3 s on a
+2-vCPU box), whose list edits are O(S).
 
 The package need only be importable, as from a checkout:
 
@@ -24,7 +25,7 @@ import random
 import sys
 import time
 
-from streamsieve import lookup_steady_fast, pack_slots_hex, unpack_slots_hex
+from streamsieve import STEADY, Surface, lookup_steady_fast, pack_slots_hex, unpack_slots_hex
 from streamsieve.algorithms import _GreedyCurator
 
 SMALL, LARGE = 2**12, 2**16
@@ -51,6 +52,13 @@ def _unpack(value_bits: int):
     return make
 
 
+def _to_hex(value_bits: int):
+    def make(S: int):
+        text = pack_slots_hex(_slots(S, value_bits), value_bits)
+        return Surface.from_hex(STEADY, S, S, value_bits, text).to_hex
+    return make
+
+
 def _tilted_step(S: int):
     # each call is one more arrival; the 153 timed barely move T past 2**17
     curator = _GreedyCurator(S, True)
@@ -63,6 +71,7 @@ def _tilted_step(S: int):
 GATES = [
     *((f"pack_slots_hex {bits}-bit", _pack(bits)) for bits in (1, 8, 64)),
     *((f"unpack_slots_hex {bits}-bit", _unpack(bits)) for bits in (1, 8, 64)),
+    *((f"typed to_hex {bits}-bit", _to_hex(bits)) for bits in (1, 8, 64)),
     ("lookup_steady_fast T=2**64-1", lambda S: lambda: lookup_steady_fast(S, 2**64 - 1)),
     ("tilted step at T=2**17", _tilted_step),
 ]

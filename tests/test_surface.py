@@ -1,6 +1,7 @@
 """Surface state machine and hex interchange tests."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given
@@ -28,10 +29,16 @@ from streamsieve import (
 )
 from streamsieve.algorithms import _refuse
 
+# a slot array's typecode holds exactly the width, one byte a slot at 1 bit;
+# C names no 4-byte type, so 32 bits takes whichever of 'I' and 'L' is 4 bytes
+CODES = {1: "B", 8: "B", 16: "H", 32: "I" if array("I").itemsize == 4 else "L", 64: "Q"}
+assert array(CODES[32]).itemsize == 4 and array(CODES[64]).itemsize == 8
+
 
 def test_constructor_examples():
     s = Surface(STEADY, 64, 8)
-    assert s.T == 0 and s.slots == [0] * 64 and s.written == [False] * 64
+    assert s.T == 0 and s.slots.tolist() == [0] * 64 and s.written == [False] * 64
+    assert s.slots.typecode == "B"
     with pytest.raises(ConfigurationError):
         Surface(TILTED, 3, 8)
     assert Surface(hybrid(("steady", 4), ("tilted", 4)), 8, 1).S == 8
@@ -49,17 +56,17 @@ def test_identity_fill_then_discard():
     s = Surface(STEADY, 4, 8)
     for T in range(4):
         assert s.ingest(10 + T) == {T}
-    assert s.slots == [10, 11, 12, 13]
+    assert s.slots.tolist() == [10, 11, 12, 13] and s.slots.typecode == "B"
     # T=4 discards: slots untouched, counter still advances
     assert s.ingest(14) == frozenset()
-    assert s.slots == [10, 11, 12, 13] and s.T == 5
+    assert s.slots.tolist() == [10, 11, 12, 13] and s.T == 5 and s.slots.typecode == "B"
 
 
 def test_steady_eight_ingests_example():
     s = Surface(STEADY, 4, 8)
     for T in range(8):
         s.ingest(T % 256)
-    assert s.slots == [5, 1, 7, 3]
+    assert s.slots.tolist() == [5, 1, 7, 3] and s.slots.typecode == "B"
     assert s.written == [True] * 4
     assert s.to_hex() == "05010703"
 
@@ -142,10 +149,10 @@ def test_hex_examples():
     assert pack_slots_hex([1, 0, 1, 1, 0, 0, 0, 0], 1) == "b0"
     assert pack_slots_hex([0, 0, 0, 0], 32) == "0" * 32
     # no slots are the empty digest, which reads back as no slots
-    assert pack_slots_hex([], 8) == ""
-    assert unpack_slots_hex("", 0, 8) == []
-    assert pack_slots_hex([], 1) == ""
-    assert unpack_slots_hex("", 0, 1) == []
+    for value_bits in (8, 1):
+        assert pack_slots_hex([], value_bits) == ""
+        empty = unpack_slots_hex("", 0, value_bits)
+        assert empty.tolist() == [] and empty.typecode == "B"
     # a hex digit is four 1-bit slots: '1f' for five slots before, which no
     # unpack read back
     for count in (1, 2, 3, 5, 6, 7):
@@ -171,7 +178,7 @@ class _Int(int):
         ([0, 0, 0, False], 1, "slot 3 holds False"),
         ([1.5, 0, 0, 0], 8, r"slot 0 holds 1\.5"),
         (["7", 0, 0, 0], 8, "slot 0 holds '7'"),
-        # struct and bytes() would take an int subclass as they take a bool
+        # array() would take an int subclass as it takes a bool
         ([_Int(1), 0, 0, 0], 8, "slot 0 holds 1"),
         ([0, 0, 1.0, 0], 1, r"slot 2 holds 1\.0"),
         # a 1-bit pack refuses every byte but 0 and 1, and what is no byte
@@ -180,11 +187,18 @@ class _Int(int):
         ([0, -(10**5000), 0, 0], 64, "slot 1 holds a negative int of 16610 bits"),
         # two faults, the first named; "0_1 " would read as 1
         ([0, 95, 1, 32], 1, "slot 1 holds 95"),
+        # a 1-bit slot array's 'B' takes 2-255: named, not int()'s ValueError
+        *((array("B", [0, 1, v, 1]), 1, f"slot 2 holds {v}") for v in (2, 32, 95, 255)),
+        # an array of another typecode is type-scanned as a list is
+        (array("b", [0, -1]), 8, "slot 1 holds -1"),
+        (array("d", [1.5, 0, 0, 0]), 8, r"slot 0 holds 1\.5"),
+        (array(CODES[64], [0, 1 << 32]), 32, f"slot 1 holds {1 << 32}"),
     ],
     ids=[
         "too-wide", "negative", "bit", "u64", "bool", "bool-bit", "float", "str", "int-subclass",
         "float-bit", "bit-2", "bit-32", "bit-95", "bit-255", "bit-256", "bit-neg", "u64-huge",
-        "u64-huge-neg", "two-faults",
+        "u64-huge-neg", "two-faults", "typed-bit-2", "typed-bit-32", "typed-bit-95",
+        "typed-bit-255", "signed-array", "float-array", "wide-array",
     ],
 )
 def test_pack_refuses_values_that_do_not_fit(slots, value_bits, bad):
@@ -196,8 +210,10 @@ def test_pack_refuses_values_that_do_not_fit(slots, value_bits, bad):
 
 
 def test_unpack_examples():
-    assert unpack_slots_hex("05010703", 4, 8) == [5, 1, 7, 3]
-    assert unpack_slots_hex("b0", 8, 1) == [1, 0, 1, 1, 0, 0, 0, 0]
+    slots = unpack_slots_hex("05010703", 4, 8)
+    assert slots.tolist() == [5, 1, 7, 3] and slots.typecode == "B"
+    slots = unpack_slots_hex("b0", 8, 1)
+    assert slots.tolist() == [1, 0, 1, 1, 0, 0, 0, 0] and slots.typecode == "B"
     # each message says what was wrong without repeating the cell
     expected = "expected 8 hex digits for S=4 width=8, got "
     for text, got in (
@@ -230,7 +246,8 @@ def test_hex_round_trip(S, value_bits, rng):
     text = pack_slots_hex(slots, value_bits)
     assert len(text) == S * value_bits // 4
     assert text == text.lower()
-    assert unpack_slots_hex(text, S, value_bits) == slots
+    got = unpack_slots_hex(text, S, value_bits)
+    assert got.tolist() == slots and got.typecode == CODES[value_bits]
 
 
 def _shift_pack(slots, value_bits):
@@ -259,15 +276,19 @@ def test_linear_unpack_matches_the_shift_loop(value_bits):
             [(1 << value_bits) - 1] * S,
         ):
             text = pack_slots_hex(slots, value_bits)
-            assert unpack_slots_hex(text, S, value_bits) == _shift_unpack(text, S, value_bits) == slots
+            got = unpack_slots_hex(text, S, value_bits)
+            assert got.tolist() == _shift_unpack(text, S, value_bits) == slots
+            assert got.typecode == CODES[value_bits]
             # upper-case digits are hex digits too
-            assert unpack_slots_hex(text.upper(), S, value_bits) == slots
+            got = unpack_slots_hex(text.upper(), S, value_bits)
+            assert got.tolist() == slots and got.typecode == CODES[value_bits]
 
 
 def test_linear_unpack_of_the_largest_dump():
     S = 1 << 20
     slots = list(random.Random(20).randbytes(S))
-    assert unpack_slots_hex(bytes(slots).hex(), S, 8) == slots
+    got = unpack_slots_hex(bytes(slots).hex(), S, 8)
+    assert got.tolist() == slots and got.typecode == "B"
 
 
 @pytest.mark.parametrize("value_bits", [1, 8, 16, 32, 64])
@@ -291,7 +312,52 @@ def test_linear_pack_of_the_largest_dump(value_bits):
     S = 1 << 20
     rng = random.Random(value_bits)
     slots = [rng.getrandbits(value_bits) for _ in range(S)]
-    assert unpack_slots_hex(pack_slots_hex(slots, value_bits), S, value_bits) == slots
+    got = unpack_slots_hex(pack_slots_hex(slots, value_bits), S, value_bits)
+    assert got.tolist() == slots and got.typecode == CODES[value_bits]
+
+
+@given(
+    st.sampled_from([1, 8, 16, 32, 64]),
+    st.integers(0, 16).map(lambda n: 4 * n),
+    st.data(),
+)
+def test_typed_slots_pack_and_unpack_as_a_list_does(value_bits, S, data):
+    slots = data.draw(st.lists(st.integers(0, (1 << value_bits) - 1), min_size=S, max_size=S))
+    typed = array(CODES[value_bits], slots)
+    text = pack_slots_hex(typed, value_bits)
+    assert text == pack_slots_hex(slots, value_bits) == (_shift_pack(slots, value_bits) if S else "")
+    # the pack byteswaps a copy: the caller's array keeps its values
+    assert typed.tolist() == slots and typed.typecode == CODES[value_bits]
+    for digits in (text, text.upper()):
+        got = unpack_slots_hex(digits, S, value_bits)
+        assert got.tolist() == slots and got.typecode == CODES[value_bits]
+
+
+def _outcome(slots, value_bits):
+    try:
+        return pack_slots_hex(slots, value_bits)
+    except DomainError as exc:
+        return DomainError, str(exc)
+
+
+@given(
+    st.sampled_from([1, 8, 16, 32, 64]),
+    st.integers(1, 16).map(lambda n: 4 * n),
+    # a 1-bit 'B' holds 2-255; any other code is type-scanned as a list is
+    st.sampled_from("bBhHiIlLqQd"),
+    st.data(),
+)
+def test_any_array_packs_or_refuses_as_a_list_does(value_bits, S, code, data):
+    if code == "d":
+        values = st.floats()
+    else:
+        bits = 8 * array(code).itemsize
+        low, high = (0, (1 << bits) - 1) if code.isupper() else (-(1 << bits - 1), (1 << bits - 1) - 1)
+        fits = st.integers(0, min(high, (1 << value_bits) - 1))
+        values = st.one_of(fits, fits, st.integers(low, high))
+    slots = data.draw(st.lists(values, min_size=S, max_size=S))
+    typed = array(code, slots)
+    assert _outcome(typed, value_bits) == _outcome(typed.tolist(), value_bits)
 
 
 @pytest.mark.parametrize(
@@ -313,7 +379,7 @@ def test_unpack_keeps_the_strict_charset(text, got):
 
 def test_from_hex_round_trip_with_written_flags():
     r = Surface.from_hex(STEADY, 4, 8, 8, "05010703")
-    assert r.slots == [5, 1, 7, 3]
+    assert r.slots.tolist() == [5, 1, 7, 3] and r.slots.typecode == "B"
     assert r.written == [True] * 4
     assert r.T == 8
     assert r.to_hex() == "05010703"
@@ -451,7 +517,8 @@ def test_ingest_stops_at_the_reload_limit():
             surface.ingest(2)
         assert str(info.value) == _refusal(algo, S, limit + 1, selector.capacity, limit)
         assert surface.T == limit, algo
-        assert (surface.slots, surface.written) == before, algo
+        assert (surface.slots.tolist(), surface.written) == before, algo
+        assert surface.slots.typecode == "B", algo
 
 
 def test_width_is_checked_before_the_sites():
