@@ -21,13 +21,12 @@ Ts cost one pass to the deepest: a curator reads its retained set at each
 T on the way, and ``lookup_replay`` copies its table out at each T it is
 given.  ``explode_row`` turns one dumped (algo, S, T, width, hex) row
 into one (site, ingest time, value) triple per site.  The CLI's explode
-subcommand notes every row in a ``TableCache`` before it explodes any,
-so each layout is passed over once, however many rows it has.
+subcommand notes every row in a ``TableCache`` before it explodes any, so
+each layout is passed over once and each row gets the list it built.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 
 from .algorithms import (
@@ -136,9 +135,9 @@ def last_write_times(algo: Algorithm, S: int, T: int) -> list:
 
 
 def _tables_at(algo: Algorithm, S: int, Ts: list) -> list[list]:
-    # the table at each of the ascending, refused Ts; each greedy segment
-    # runs one forward pass to the last of them
-    tables: list = [[] for _ in Ts]
+    # the table at each of the ascending, refused Ts, one forward pass per greedy
+    # segment; each route gives a fresh list per T, which later segments extend
+    tables = None
     for kind, size, _ in _layout(algo, S)[0]:
         if kind == "steady":
             parts = [lookup_steady_fast(size, T) for T in Ts]
@@ -146,8 +145,11 @@ def _tables_at(algo: Algorithm, S: int, Ts: list) -> list[list]:
             parts = _stretched_writers(size, Ts)
         else:
             parts = lookup_replay(TILTED, size, Ts[-1], at=Ts)
-        for table, part in zip(tables, parts):
-            table += part
+        if tables is None:
+            tables = parts
+        else:
+            for table, part in zip(tables, parts):
+                table += part
     return tables
 
 
@@ -170,9 +172,9 @@ class TableCache:
     ``explode_row``.  The first row of a layout with a greedy segment to
     be exploded builds the tables at every T noted for that layout in one
     pass, so the layout costs its deepest row, not the sum of its rows.
-    While that pass runs, its tables are lists; then each waits as an
-    ``array('q')``, 8 bytes a site with -1 where unwritten, until the last
-    row noted at its T takes it.  Steady layouts have a closed form at any
+    Each table is held as the list that pass built, one per distinct T:
+    every row noted at that T but the last takes a copy, and the last
+    takes the list itself.  Steady layouts have a closed form at any
     depth, so they are not held and each row builds its own.
     """
 
@@ -188,21 +190,21 @@ class TableCache:
         if _layout(algo, S)[1] is not None:  # bounded iff a segment is greedy
             self._wanted.setdefault((algo, S), Counter())[T] += 1
 
-    def take(self, algo: Algorithm, S: int, T: int) -> list | None:
-        """The table of a noted row, or None if the row was not held."""
+    def take(self, algo: Algorithm, S: int, T: int) -> list:
+        """A noted row's table from its layout's shared pass; any other row's
+        from ``last_write_times``, which refuses T past the limit or capacity."""
         wanted = self._wanted.pop((algo, S), None)
         if wanted is not None:
             Ts = sorted(wanted)
             for Tp, table in zip(Ts, _tables_at(algo, S, Ts)):
-                snapshot = array("q", [-1 if t is None else t for t in table])
-                self._held[(algo, S, Tp)] = [wanted[Tp], snapshot]
+                self._held[(algo, S, Tp)] = [wanted[Tp], table]
         held = self._held.get((algo, S, T))
         if held is None:
-            return None
+            return last_write_times(algo, S, T)
         held[0] -= 1
-        if not held[0]:
-            del self._held[(algo, S, T)]
-        return [None if t < 0 else t for t in held[1]]
+        if held[0]:
+            return held[1][:]
+        return self._held.pop((algo, S, T))[1]
 
 
 def explode_row(algo, S: int, T: int, value_bits: int, text: str, tables=None) -> list[tuple]:
@@ -211,14 +213,12 @@ def explode_row(algo, S: int, T: int, value_bits: int, text: str, tables=None) -
     Unwritten sites yield (k, None, None); the zero padding they carry in
     the hex digest is not a value.  ``algo`` may be an Algorithm or its
     text token; the dump is checked as ``Surface.from_hex`` checks it.
-    ``tables``, a ``TableCache`` the row was noted in, hands over its
-    table from the layout's shared pass.
+    ``tables``, a ``TableCache``, hands over a noted row's table from its
+    layout's shared pass, and ``last_write_times``'s for any other row.
     """
     if isinstance(algo, str):
         algo = parse_algorithm(algo)
     slots = check_dump(algo, S, T, value_bits, text)
-    entries = None if tables is None else tables.take(algo, S, T)
-    if entries is None:
-        entries = _tables_at(algo, S, [T])[0]
+    entries = last_write_times(algo, S, T) if tables is None else tables.take(algo, S, T)
     # unwritten sites carry no value: their zero padding is not one
     return [(k, tbar, None if tbar is None else slots[k]) for k, tbar in enumerate(entries)]

@@ -775,13 +775,6 @@ def test_selector_resume_matches_straight_run():
             assert selector.T == stop
 
 
-def _selector_state(selector):
-    return selector.T, [
-        None if c is None else (c.T, c.times, c.sites, c.buckets, c.next_write)
-        for _, _, c in selector._parts
-    ]
-
-
 @pytest.mark.parametrize(
     "algo, S, Ts",
     [

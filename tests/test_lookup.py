@@ -199,6 +199,8 @@ def test_tables_at_several_Ts_match_replay(algo, S, Ts):
     Ts = list(Ts)
     tables = streamsieve.lookup._tables_at(algo, S, Ts)
     assert len(tables) == len(Ts)
+    # later segments extend the first one's lists in place, so none may alias
+    assert len({id(table) for table in tables}) == len(Ts)
     for table, (T, replayed) in zip(tables, _replayed_tables(algo, S, Ts)):
         assert table == replayed, (algo, S, T)
 
@@ -254,6 +256,47 @@ def test_table_cache_hands_each_noted_row_its_table(monkeypatch):
         ("tilted", 16, [0, 10, 50, 300, 4000]),
     ]
     assert not cache._wanted and not cache._held
+
+
+@pytest.mark.parametrize(
+    "algo, T",
+    [(TILTED, 300), (STRETCHED, 200), (hybrid(("stretched", 4), ("steady", 8), ("tilted", 4)), 9)],
+    ids=["tilted", "stretched", "stretched4+steady8+tilted4"],
+)
+def test_table_cache_hands_rows_at_one_T_distinct_tables(algo, T):
+    # the last row noted at a T takes the held list itself, every earlier one a copy
+    cache = TableCache()
+    for _ in range(2):
+        cache.note(algo, 16, T, 8, "00" * 16)
+    first, second = cache.take(algo, 16, T), cache.take(algo, 16, T)
+    assert first == second == lookup_replay(algo, 16, T)
+    first[:] = ["mutated"] * 16
+    assert second == lookup_replay(algo, 16, T)
+    assert not cache._wanted and not cache._held
+
+
+@pytest.mark.parametrize(
+    "algo, S, T",
+    [
+        (STEADY, 64, 1 << 40),
+        (STRETCHED, 16, 200),
+        (TILTED, 16, 300),
+        (hybrid(("stretched", 4), ("steady", 8), ("tilted", 4)), 16, 9),
+    ],
+    ids=["steady", "stretched", "tilted", "stretched4+steady8+tilted4"],
+)
+def test_table_cache_takes_a_row_never_noted_as_last_write_times(algo, S, T):
+    assert TableCache().take(algo, S, T) == last_write_times(algo, S, T)
+
+
+@pytest.mark.parametrize(
+    "algo, S, T, error",
+    [(STRETCHED, 64, 2**40, ReplayLimitError), (TILTED, 4, 15, CapacityError)],
+    ids=["past-limit", "past-capacity"],
+)
+def test_table_cache_refuses_a_row_never_noted_past_its_bounds(algo, S, T, error):
+    with pytest.raises(error):
+        TableCache().take(algo, S, T)
 
 
 def test_table_cache_note_raises_as_explode_row_does():
