@@ -41,15 +41,15 @@ always scores strictly lowest, so a write compares one candidate per
 distinct gap.  Every write then takes one path: evict, append the arrival,
 and refile the evicted item's two neighbours and the previous newest.  The
 fill only appends, so a seek appends it at once up to its last arrival,
-which steps.  Tilted writes every arrival.  Stretched writes rarely, and
-its state changes only in T between two writes, so one scan of the
-buckets after each write finds both the next write time and the item it
-evicts; a discard costs one compare, and a lookup or a reload jumps from
-write to write.  Every sequential caller in the package (ingest, reload,
-lookup, explode, vector generation) steps a ``Selector``, which validates
-(algo, S) once and owns its curators, or a curator of its own.  Only the
-pointwise ``site_selection``/``*_assign``, and so ``check_vectors``, go
-through a lock-guarded per-(profile, S) replay memo.
+which steps and files the buffer.  Tilted writes every arrival.  Stretched
+writes rarely, and its state changes only in T between two writes, so one
+scan of the buckets after each write finds both the next write time and the
+item it evicts; a discard costs one compare, and a lookup or a reload jumps
+from write to write.  Every sequential caller in the package (ingest,
+reload, lookup, explode, vector generation) steps a ``Selector``, which
+validates (algo, S) once and owns its curators, or a curator of its own.
+Only the pointwise ``site_selection``/``*_assign``, and so
+``check_vectors``, go through a lock-guarded per-(profile, S) replay memo.
 
 ``_layout(algo, S)`` alone validates (algo, S) and decides how far it
 goes: with a greedy segment, capacity 2**size - 2 for the smallest one
@@ -382,7 +382,7 @@ class _GreedyCurator:
     before the oldest).  step() scores the current arrival, applies the
     outcome, and returns the selected site (None = discard).  The fill
     only appends, so ``skip_to`` appends all of it but its last arrival;
-    only step() takes the arrival that fills the buffer and ``resume``s.
+    only step() takes the arrival that fills the buffer, in one slice.
 
     Why one candidate per bucket is exact.  An interior item b scores n / w,
     where n is fixed until a neighbour is evicted and the weight w is T - b
@@ -411,10 +411,10 @@ class _GreedyCurator:
     An eviction takes one path: the winner leaves its bucket (the newest is
     in none), the lists drop it and append the arrival, and the three items
     whose gaps changed are refiled: the left neighbour, an interior right
-    neighbour and the previous newest, which becomes interior.  A discard
-    changes no bucket.  A step therefore costs one comparison per distinct
-    gap (about 2 more per doubling of T/S) plus O(log S) bucket edits and
-    one list deletion, not an O(S) scan.
+    neighbour and the previous newest, now interior and the last of its
+    bucket.  A discard changes no bucket.  A step therefore costs one
+    comparison per distinct gap (about 2 more per doubling of T/S) plus
+    O(log S) bucket edits and one list deletion, not an O(S) scan.
 
     Stretched discards cost one compare, and a write one scan of the
     buckets, in _schedule.  ``next_write`` is a lower bound on the next
@@ -500,8 +500,10 @@ class _GreedyCurator:
         if T < self.S:
             times.append(T)
             sites.append(T)
-            if T + 1 == self.S:  # the buffer is full: file it, schedule
-                self.resume(T + 1, times, sites)
+            if T + 1 == self.S:  # full: times are 0..S-1, so every interior gap is 2
+                self.buckets = {2: times[:-1]}
+                if not self.tilted:
+                    self._schedule()
             return T
         buckets = self.buckets
         last = len(times) - 1
@@ -538,21 +540,20 @@ class _GreedyCurator:
         if idx + 1 < last:  # an interior right neighbour now reaches back to prev
             nn = times[idx + 1]
             _rebucket(buckets, times[idx], nn - best_b, nn - prev)
-        if idx < last:  # the previous newest is interior now
-            _rebucket(buckets, times[last - 1], 0, T - times[last - 2])
+        if idx < last:  # the previous newest is interior now, and newer than all
+            buckets.setdefault(T - times[last - 2], []).append(times[last - 1])
         if not self.tilted:
             self._schedule()
         return site
 
 
 def _rebucket(buckets: dict[int, list[int]], b: int, old: int, new: int) -> None:
-    # move time b from bucket old (0 = in none) to bucket new
-    if old:
-        bucket = buckets[old]
-        if len(bucket) == 1:
-            del buckets[old]
-        else:
-            del bucket[bisect_left(bucket, b)]
+    # move interior time b from bucket old to bucket new, in time order
+    bucket = buckets[old]
+    if len(bucket) == 1:
+        del buckets[old]
+    else:
+        del bucket[bisect_left(bucket, b)]
     bucket = buckets.get(new)
     if bucket is None:
         buckets[new] = [b]

@@ -921,22 +921,21 @@ def test_gap_bucket_curator_matches_scan(tilted):
 def test_a_curator_resumed_in_the_fill_matches_a_straight_one(tilted):
     """Resumed at any T < S, a curator only appends until the arrival that
     fills the buffer, which files it; from there on it is, step by step,
-    the curator stepped straight from 0."""
-    def state(c):
-        return c.times, c.sites, c.buckets, c.next_write
-
-    for S in (4, 8, 64):
-        for at in range(S):
+    the curator stepped straight from 0.  Resumed at T = S, ``resume``
+    files the full buffer as that arrival does."""
+    for S in (1 << s for s in range(2, 13)):
+        # past S=64, the start, the filling arrival and the full buffer
+        for at in range(S + 1) if S <= 64 else (0, S - 1, S):
             straight = _GreedyCurator(S, tilted)
             for _ in range(at):
                 straight.step()
             resumed = _GreedyCurator(S, tilted)
             resumed.resume(at, list(straight.times), list(straight.sites))
-            while straight.T < S + 21:
+            while straight.T < S + 200:
                 T = straight.T
                 assert resumed.step() == straight.step(), (S, at, T)
                 if T + 1 >= S:
-                    assert state(resumed) == state(straight), (S, at, T)
+                    assert _curator_state(resumed) == _curator_state(straight), (S, at, T)
 
 
 def _curator_state(c):
