@@ -39,17 +39,18 @@ item's gap only changes when a neighbour is evicted, and among items
 sharing a gap the heaviest one (oldest for tilted, newest for stretched)
 always scores strictly lowest, so a write compares one candidate per
 distinct gap.  Every write then takes one path: evict, append the arrival,
-and refile the evicted item's two neighbours and the previous newest.  The
-fill only appends, so a seek appends it at once up to its last arrival,
-which steps and files the buffer.  Tilted writes every arrival.  Stretched
-writes rarely, and its state changes only in T between two writes, so one
-scan of the buckets after each write finds both the next write time and the
-item it evicts; a discard costs one compare, and a lookup or a reload jumps
-from write to write.  Every sequential caller in the package (ingest,
-reload, lookup, explode, vector generation) steps a ``Selector``, which
-validates (algo, S) once and owns its curators, or a curator of its own.
-Only the pointwise ``site_selection``/``*_assign``, and so
-``check_vectors``, go through a lock-guarded per-(profile, S) replay memo.
+and refile the evicted item's two neighbours and the previous newest.  One
+loop over local state takes any run of arrivals, and a seek hands it all
+but the fill's first S - 1: those only append, so a seek appends them at
+once.  Tilted writes every arrival.  Stretched writes rarely, and its state
+changes only in T between two writes, so one scan of the buckets after each
+write finds both the next write time and the item it evicts; a discard
+costs one compare, and the loop jumps from write to write.  Every
+sequential caller in the package (ingest, reload, lookup, explode, vector
+generation) steps a ``Selector``, which validates (algo, S) once and owns
+its curators, or a curator of its own.  Only the pointwise
+``site_selection``/``*_assign``, and so ``check_vectors``, go through a
+lock-guarded per-(profile, S) replay memo.
 
 ``_layout(algo, S)`` alone validates (algo, S) and decides how far it
 goes: with a greedy segment, capacity 2**size - 2 for the smallest one
@@ -379,10 +380,11 @@ class _GreedyCurator:
     Keeps the retained ingest times sorted alongside the site each one
     occupies, and files every item but the newest in a gap bucket:
     gap -> sorted times, where an item's gap is n = next - prev (prev = -1
-    before the oldest).  step() scores the current arrival, applies the
-    outcome, and returns the selected site (None = discard).  The fill
-    only appends, so ``skip_to`` appends all of it but its last arrival;
-    only step() takes the arrival that fills the buffer, in one slice.
+    before the oldest).  step() takes the arrivals up to an end, the
+    current one alone by default, in one loop over local state, and
+    returns the last one's site (None = discard).  The fill only appends,
+    so ``skip_to`` appends all of it but its last arrival, and step()
+    takes that one and files the full buffer in one slice.
 
     Why one candidate per bucket is exact.  An interior item b scores n / w,
     where n is fixed until a neighbour is evicted and the weight w is T - b
@@ -412,9 +414,13 @@ class _GreedyCurator:
     in none), the lists drop it and append the arrival, and the three items
     whose gaps changed are refiled: the left neighbour, an interior right
     neighbour and the previous newest, now interior and the last of its
-    bucket.  A discard changes no bucket.  A step therefore costs one
-    comparison per distinct gap (about 2 more per doubling of T/S) plus
-    O(log S) bucket edits and one list deletion, not an O(S) scan.
+    bucket.  A discard changes no bucket.  Stepped from 0, every tilted
+    refile checked left its old bucket at the front and joined its new one
+    at the back, which _rebucket does without a bisect; nothing rests on
+    it, since resumed and stretched states take the bisects.  A step
+    therefore costs one comparison per distinct gap (about 2 more per
+    doubling of T/S) plus O(log S) bucket edits and one list deletion, not
+    an O(S) scan.
 
     Stretched discards cost one compare, and a write one scan of the
     buckets, in _schedule.  ``next_write`` is a lower bound on the next
@@ -477,86 +483,93 @@ class _GreedyCurator:
     def skip_to(self, T: int) -> None:
         """Advance to arrival T; a T at or behind the curator is a no-op.
         The fill only appends (arrival t to site t), so all of it but its
-        last arrival is taken at once; that one is stepped, and ``step``
-        files the full buffer.  Past the fill, stretched jumps from write to
-        write, and at a next_write of 0 (tilted) each arrival steps."""
+        last arrival is taken at once; one ``step`` takes the rest."""
         fill = range(self.T, min(T, self.S - 1))
         self.times += fill
         self.sites += fill
         self.T += len(fill)
-        while self.T < T:
-            if self.T < self.next_write:  # stretched, between two writes
-                self.T = min(self.next_write, T)
-            else:
-                self.step()
+        if self.T < T:
+            self.step(T)
 
-    def step(self) -> int | None:
+    def step(self, end: int | None = None) -> int | None:
+        """Take arrivals T .. end - 1 (T alone by default); the last one's site."""
         T = self.T
-        self.T = T + 1
-        if T < self.next_write:
-            return None  # stretched, between two writes
-        times = self.times
-        sites = self.sites
-        if T < self.S:
-            times.append(T)
-            sites.append(T)
-            if T + 1 == self.S:  # full: times are 0..S-1, so every interior gap is 2
-                self.buckets = {2: times[:-1]}
-                if not self.tilted:
-                    self._schedule()
-            return T
-        buckets = self.buckets
+        if end is None:
+            if T < self.next_write:
+                self.T = T + 1
+                return None  # stretched, between two writes
+            end = T + 1
+        S, tilted = self.S, self.tilted
+        times, sites, buckets = self.times, self.sites, self.buckets
         last = len(times) - 1
-        # best is the winner's bucket; None while the newest item leads
-        if self.tilted:
-            # the arrival's age weight is 0, so tilted never discards; ties
-            # go to the smaller time.  A score is one float, exact in order
-            # below 2**25 (class docstring); an age of 0 scores inf
-            best_b = times[last]
-            best_s = (T - times[last - 1]) / (T - best_b) if T > best_b else inf
-            best_n = best = None
-            for g, bucket in buckets.items():
-                b = bucket[0]
-                s = g / (T - b)
-                if s <= best_s and (s < best_s or b < best_b):
-                    best_s, best_n, best_b, best = s, g, b, bucket
-        else:
-            # T >= next_write, so _schedule's winner beats the discard
-            best_n, best_b, best = self.winner
-        idx = last if best is None else bisect_left(times, best_b)
-        if idx < last:  # the winner leaves its bucket; the newest is in none
-            del best[0 if self.tilted else -1]
-            if not best:
-                del buckets[best_n]
-        site = sites.pop(idx)
-        del times[idx]
-        times.append(T)
-        sites.append(site)
-        # refile, at their new indices, the three items whose gaps changed
-        prev = times[idx - 1] if idx else -1
-        if idx:  # the left neighbour now reaches to the right one, or to T
-            pp = times[idx - 2] if idx > 1 else -1
-            _rebucket(buckets, prev, best_b - pp, times[idx] - pp)
-        if idx + 1 < last:  # an interior right neighbour now reaches back to prev
-            nn = times[idx + 1]
-            _rebucket(buckets, times[idx], nn - best_b, nn - prev)
-        if idx < last:  # the previous newest is interior now, and newer than all
-            buckets.setdefault(T - times[last - 2], []).append(times[last - 1])
-        if not self.tilted:
-            self._schedule()
+        while T < end:
+            if T < self.next_write:  # stretched, between two writes: jump
+                T, site = min(self.next_write, end), None
+                continue
+            if T < S:
+                times.append(T)
+                sites.append(T)
+                site, T, last = T, T + 1, last + 1
+                if T == S:  # full: times are 0..S-1, so every interior gap is 2
+                    self.buckets = buckets = {2: times[:-1]}
+                    if not tilted:
+                        self._schedule()
+                continue
+            # best is the winner's bucket; None while the newest item leads
+            if tilted:
+                # the arrival's age weight is 0, so tilted never discards; ties
+                # go to the smaller time.  A score is one float, exact in order
+                # below 2**25 (class docstring); an age of 0 scores inf
+                best_b = times[last]
+                best_s = (T - times[last - 1]) / (T - best_b) if T > best_b else inf
+                best_n = best = None
+                for g, bucket in buckets.items():
+                    b = bucket[0]
+                    s = g / (T - b)
+                    if s <= best_s and (s < best_s or b < best_b):
+                        best_s, best_n, best_b, best = s, g, b, bucket
+            else:
+                # T >= next_write, so _schedule's winner beats the discard
+                best_n, best_b, best = self.winner
+            idx = last if best is None else bisect_left(times, best_b)
+            if idx < last:  # the winner leaves its bucket; the newest is in none
+                del best[0 if tilted else -1]
+                if not best:
+                    del buckets[best_n]
+            site = sites.pop(idx)
+            del times[idx]
+            times.append(T)
+            sites.append(site)
+            # refile, at their new indices, the three items whose gaps changed
+            prev = times[idx - 1] if idx else -1
+            if idx:  # the left neighbour now reaches to the right one, or to T
+                pp = times[idx - 2] if idx > 1 else -1
+                _rebucket(buckets, prev, best_b - pp, times[idx] - pp)
+            if idx + 1 < last:  # an interior right neighbour now reaches back to prev
+                nn = times[idx + 1]
+                _rebucket(buckets, times[idx], nn - best_b, nn - prev)
+            if idx < last:  # the previous newest is interior now, and newer than all
+                buckets.setdefault(T - times[last - 2], []).append(times[last - 1])
+            T += 1
+            if not tilted:
+                self._schedule()
+        self.T = T
         return site
 
 
 def _rebucket(buckets: dict[int, list[int]], b: int, old: int, new: int) -> None:
-    # move interior time b from bucket old to bucket new, in time order
+    # move interior time b from bucket old to bucket new, in time order; the
+    # front-out, back-in refiles seen in tilted curators take no bisect
     bucket = buckets[old]
     if len(bucket) == 1:
         del buckets[old]
     else:
-        del bucket[bisect_left(bucket, b)]
+        del bucket[0 if bucket[0] == b else bisect_left(bucket, b)]
     bucket = buckets.get(new)
     if bucket is None:
         buckets[new] = [b]
+    elif bucket[-1] < b:
+        bucket.append(b)
     else:
         insort(bucket, b)
 

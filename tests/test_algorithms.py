@@ -832,11 +832,13 @@ def _assert_steps_match(curator, scan, steps, label):
     assert (curator.times, curator.sites) == (scan.times, scan.sites), label
 
 
-@pytest.mark.parametrize("S, stop", [(4, 14), (8, 254), (64, 3000)])
+# (16, 4096) as explode reaches it; (1024, 1792) as ingest-greedy reloads
+@pytest.mark.parametrize("S, stop", [(4, 14), (8, 254), (16, 4096), (64, 3000), (1024, 1792)])
 def test_tilted_skip_to_matches_stepping(S, stop):
     """Tilted writes every arrival, so skipping to T steps each one: a fresh
     curator that skips to T, and one that skips on from checkpoint to
-    checkpoint, end in the state of one stepped T times."""
+    checkpoint, end in the state of one stepped T times.  Both run the one
+    loop in ``step`` that a per-arrival call runs, over many arrivals."""
     rng = random.Random(S)
     checkpoints = set(range(min(S + 3, stop + 1))) | {stop}
     checkpoints |= {rng.randrange(S, stop) for _ in range(20)}
@@ -851,6 +853,33 @@ def test_tilted_skip_to_matches_stepping(S, stop):
         for curator in (fresh, chained):
             assert curator.T == T
             assert (curator.times, curator.sites, curator.buckets, curator.next_write) == state, T
+
+
+# each to capacity or to 2**12, and S=1024 as ingest-greedy reloads it
+FRONT_OUT_BACK_IN = [(S, min(2**12, (1 << S) - 2)) for S in (4, 8, 16, 32, 64)] + [(1024, 1792)]
+
+
+@pytest.mark.parametrize("S, stop", FRONT_OUT_BACK_IN)
+def test_a_tilted_curator_refiles_front_out_and_back_in(S, stop, monkeypatch):
+    """Stepped from 0, every tilted gap bucket is a contiguous run of the
+    retained times after each step, and each refile leaves its old bucket
+    at the front and joins its new one at the back: the cases
+    ``_rebucket`` takes without a bisect.  This is observed, not relied
+    on; resumed and stretched states take the bisects."""
+    rebucket = algorithms._rebucket
+
+    def checked(buckets, b, old, new):
+        assert buckets[old][0] == b and buckets.get(new, [-1])[-1] < b, (S, b, old, new)
+        rebucket(buckets, b, old, new)
+
+    monkeypatch.setattr(algorithms, "_rebucket", checked)
+    curator = _GreedyCurator(S, True)
+    while curator.T < stop:
+        curator.step()
+        index = {t: i for i, t in enumerate(curator.times)}
+        for bucket in curator.buckets.values():
+            i = index[bucket[0]]
+            assert curator.times[i : i + len(bucket)] == bucket, (S, curator.T)
 
 
 # every tilted score's terms are at most this: T + 1 at the replay cap
