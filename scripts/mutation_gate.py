@@ -1,5 +1,5 @@
-"""Check that the tests licensing the greedy curator's fast paths still fail
-when one of those paths is broken.
+"""Check that the tests licensing the library's fast paths and fixed check
+orders still fail when one of them is broken.
 
 Each mutant is one exact text edit of one file.  For each, ``src/``,
 ``tests/`` and ``pyproject.toml`` are copied to a temporary directory, the
@@ -10,11 +10,23 @@ occur exactly once in its file (so a change that moves mutated code updates
 this table with it), or when the named tests fail on the unmutated copy.
 The checkout itself is never edited.
 
-The mutants: both tie rules, each of the three refiles an eviction makes,
-a fill bound that takes the filling arrival too, and the two bisect-free
-cases of ``_rebucket`` taken for every refile, which only resumed and
-stretched states tell apart.  The script prints one line a mutant and
-exits 1 on any failure (about a minute on a 2-vCPU box):
+The mutants, each killed by tests of its own:
+
+* the greedy curator: both tie rules, each of the three refiles an
+  eviction makes, a fill bound that takes the filling arrival too, the
+  two bisect-free cases of ``_rebucket`` taken for every refile (only
+  resumed and stretched states tell them apart), and a ``table()`` that
+  pairs times with the wrong sites once evictions reorder them;
+* hex interchange: the pack and the unpack byteswap dropped, the pack
+  byteswapping the caller's array in place, and a 1-bit table with its
+  digits swapped;
+* the steady rule's discard test, relaxed to keep every arrival of epoch 1;
+* the explode writer's brace escape dropped;
+* the check orders: ``_refuse``'s limit before capacity, and
+  ``check_dump``'s hex digest before T.
+
+The script prints one line a mutant and exits 1 on any failure (about a
+minute on a 2-vCPU box):
 
     python scripts/mutation_gate.py
 """
@@ -33,10 +45,16 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 300
 
 ALGORITHMS = "src/streamsieve/algorithms.py"
+SURFACE = "src/streamsieve/surface.py"
+CLI = "src/streamsieve/cli.py"
 TESTS = "tests/test_algorithms.py::"
 SCAN = TESTS + "test_gap_bucket_curator_matches_scan"
 DEPTH = TESTS + "test_gap_bucket_curator_matches_scan_at_depth"
 NEXT_WRITE = TESTS + "test_stretched_next_write_matches_scan"
+SURFACE_TESTS = "tests/test_surface.py::"
+LOOKUP_TESTS = "tests/test_lookup.py::"
+SAME_FAULT = LOOKUP_TESTS + "test_every_dump_path_reports_the_same_fault"
+PACKED_HEX = "tests/test_digests.py::test_packed_hex_is_frozen"
 
 # (file, exact old text, new text, test ids, why the tests must kill it)
 MUTANTS = [
@@ -80,6 +98,58 @@ MUTANTS = [
      "elif True:",
      [DEPTH, NEXT_WRITE],
      "a refile joins its bucket at the back only in tilted states stepped from 0"),
+    (ALGORITHMS,
+     "zip(self.times, self.sites)",
+     "zip(self.times, sorted(self.sites))",
+     [LOOKUP_TESTS + "test_a_curator_table_matches_replay"],
+     "table() pairs each time with its own site, which evictions reorder"),
+    (SURFACE,
+     "keeps its order\n            slots.byteswap()",
+     "keeps its order",
+     [PACKED_HEX, SURFACE_TESTS + "test_linear_pack_matches_the_shift_loop"],
+     "a wide pack writes big-endian hex on a little-endian host"),
+    (SURFACE,
+     "bytes.fromhex(text))\n        if _SWAP and value_bits > 8:",
+     "bytes.fromhex(text))\n        if False:",
+     [SURFACE_TESTS + "test_linear_unpack_matches_the_shift_loop",
+      SURFACE_TESTS + "test_hex_round_trip"],
+     "a wide unpack reads big-endian hex on a little-endian host"),
+    (SURFACE,
+     "slots = slots[:]  # a copy",
+     "pass  # a copy",
+     [SURFACE_TESTS + "test_typed_slots_pack_and_unpack_as_a_list_does"],
+     "the pack byteswaps a copy, so the caller's array keeps its values"),
+    (SURFACE,
+     '_BIT_DIGITS = b"01"',
+     '_BIT_DIGITS = b"10"',
+     [SURFACE_TESTS + "test_hex_examples", PACKED_HEX],
+     "a 1-bit slot of 1 packs as the bit 1"),
+    (CLI,
+     'cell.replace("{", "{{").replace("}", "}}")',
+     "cell",
+     ["tests/test_cli.py::TestExplode::test_output_bytes_are_frozen",
+      "tests/test_cli.py::TestExplode::test_matches_one_explode_row_per_row"],
+     "a passed-through cell's braces are escaped in the record template"),
+    (ALGORITHMS,
+     "if t > 0 and (T + 1) & ((1 << t) - 1):",
+     "if t > 1 and (T + 1) & ((1 << t) - 1):",
+     [LOOKUP_TESTS + "test_lookup_replay_examples",
+      "tests/test_conformance.py::test_grid_rows_are_frozen"],
+     "steady discards every arrival whose hanoi value is below its epoch, from epoch 1"),
+    (ALGORITHMS,
+     "if limit is not None and count > limit:",
+     "if limit is not None and count > limit and (capacity is None or count <= capacity):",
+     [SAME_FAULT, "tests/test_cli.py::TestLookup::test_replay_cap_failure"],
+     "past both bounds, the limit is reported before capacity"),
+    (SURFACE,
+     "    slots = unpack_slots_hex(text, S, value_bits)\n"
+     "    _validate_time(T)\n"
+     "    _refuse(algo, S, T, capacity, limit)\n",
+     "    _validate_time(T)\n"
+     "    _refuse(algo, S, T, capacity, limit)\n"
+     "    slots = unpack_slots_hex(text, S, value_bits)\n",
+     [SAME_FAULT],
+     "a dump's hex digest is checked before its T"),
 ]
 
 

@@ -377,14 +377,15 @@ def _steady_site(S: int, T: int) -> int | None:
 class _GreedyCurator:
     """Incremental replay state for the weighted-eviction profiles.
 
-    Keeps the retained ingest times sorted alongside the site each one
-    occupies, and files every item but the newest in a gap bucket:
-    gap -> sorted times, where an item's gap is n = next - prev (prev = -1
-    before the oldest).  step() takes the arrivals up to an end, the
-    current one alone by default, in one loop over local state, and
-    returns the last one's site (None = discard).  The fill only appends,
-    so ``skip_to`` appends all of it but its last arrival, and step()
-    takes that one and files the full buffer in one slice.
+    Keeps the retained ingest times sorted in ``times``, the site each
+    occupies in ``sites``, and files every item but the newest in a gap
+    bucket: gap -> sorted times, where an item's gap is n = next - prev
+    (prev = -1 before the oldest).  Only step(), ``skip_to``, _schedule
+    and ``resume`` read the lists; the rest of the library reads ``table()``.
+    step() takes the arrivals up to an end in one loop over local state
+    and returns the last one's site (None = discard).  The fill only
+    appends, so ``skip_to`` appends all of it but its last arrival, and
+    step() takes that one and files the full buffer in one slice.
 
     Why one candidate per bucket is exact.  An interior item b scores n / w,
     where n is fixed until a neighbour is evicted and the weight w is T - b
@@ -555,6 +556,13 @@ class _GreedyCurator:
                 self._schedule()
         self.T = T
         return site
+
+    def table(self) -> list:
+        """The ingest time each site holds, None where none is, in O(S)."""
+        table: list = [None] * self.S
+        for tbar, k in zip(self.times, self.sites):
+            table[k] = tbar
+        return table
 
 
 def _rebucket(buckets: dict[int, list[int]], b: int, old: int, new: int) -> None:

@@ -12,15 +12,15 @@ scalar rule is one segment), each by its cheapest route:
   that can still be retained (those whose hanoi value reaches one below
   the current epoch), each in O(1), so it is O(S) at any depth up to
   2**64 - 1, where replay is not;
-* stretched -- a curator jumps from write to write, skipping every
-  discard, so the cost follows the number of writes, not T;
+* stretched -- a curator skips every discard, so the cost follows the
+  writes, not T, and its ``table()`` reads the retained set in O(S);
 * tilted -- never discards, so it replays with ``lookup_replay``.
 
 Both greedy routes run forward, so the tables of one layout at several
-Ts cost one pass to the deepest: a curator reads its retained set at each
-T on the way, and ``lookup_replay`` copies its table out at each T it is
-given.  ``explode_row`` turns one dumped (algo, S, T, width, hex) row
-into one (site, ingest time, value) triple per site.  The CLI's explode
+Ts cost one pass to the deepest: a curator is read at each T on the way,
+and ``lookup_replay`` copies its table out at each T it is given.
+``explode_row`` turns one dumped (algo, S, T, width, hex) row into one
+(site, ingest time, value) triple per site.  The CLI's explode
 subcommand notes every row in a ``TableCache`` before it explodes any, so
 each layout is passed over once and each row gets the list it built.
 """
@@ -136,33 +136,21 @@ def last_write_times(algo: Algorithm, S: int, T: int) -> list:
 
 def _tables_at(algo: Algorithm, S: int, Ts: list) -> list[list]:
     # the table at each of the ascending, refused Ts, one forward pass per greedy
-    # segment; each route gives a fresh list per T, which later segments extend
-    tables = None
+    # segment; each segment's part at a T extends that T's table
+    tables: list[list] = [[] for _ in Ts]
     for kind, size, _ in _layout(algo, S)[0]:
         if kind == "steady":
             parts = [lookup_steady_fast(size, T) for T in Ts]
         elif kind == "stretched":
-            parts = _stretched_writers(size, Ts)
+            curator, parts = _GreedyCurator(size, False), []
+            for T in Ts:
+                curator.skip_to(T)
+                parts.append(curator.table())
         else:
             parts = lookup_replay(TILTED, size, Ts[-1], at=Ts)
-        if tables is None:
-            tables = parts
-        else:
-            for table, part in zip(tables, parts):
-                table += part
+        for table, part in zip(tables, parts):
+            table += part
     return tables
-
-
-def _stretched_writers(S: int, Ts: list) -> list[list]:
-    curator = _GreedyCurator(S, False)
-    parts = []
-    for T in Ts:
-        curator.skip_to(T)
-        part: list = [None] * S
-        for tbar, k in zip(curator.times, curator.sites):
-            part[k] = tbar
-        parts.append(part)
-    return parts
 
 
 class TableCache:

@@ -17,9 +17,11 @@ from typing import NamedTuple
 from .errors import ConfigurationError, DomainError, _clip
 
 
-def _check_site_count(S: int) -> None:
+def _check_sites_and_horizon(S: int, T: int) -> None:
     if not isinstance(S, int) or S < 2 or S & (S - 1):
         raise ConfigurationError(f"site count must be a power of two >= 2, got {_clip(S)}")
+    if not isinstance(T, int) or isinstance(T, bool) or T < 1:
+        raise DomainError(f"horizon must be a positive integer, got {_clip(T)}")
 
 
 def needed_set_steady(S: int, T: int) -> set[int]:
@@ -29,9 +31,7 @@ def needed_set_steady(S: int, T: int) -> set[int]:
     T' < T with T' = 2**t - 1 (mod 2**t): evenly spaced with gap 2**t, and
     between S/2 and S of them once T >= S.
     """
-    _check_site_count(S)
-    if not isinstance(T, int) or isinstance(T, bool) or T < 1:
-        raise DomainError(f"horizon must be a positive integer, got {_clip(T)}")
+    _check_sites_and_horizon(S, T)
     t = max(T.bit_length() - (S.bit_length() - 1), 0)
     step = 1 << t
     return set(range(step - 1, T, step))
@@ -46,13 +46,16 @@ def check_steady_gap(retained, S: int, T: int) -> GapCheck:
     """Largest uncovered stretch vs the even-coverage bound max(2T/S, 1).
 
     Gaps are measured over sorted(retained) with sentinels -1 and T, so
-    both the pre-origin edge and the not-yet-covered tail count.  The
-    comparison is exact: gap <= 2T/S is evaluated as gap * S <= 2 * T.
+    both the pre-origin edge and the not-yet-covered tail count; the first
+    time outside [0, T) raises DomainError.  The comparison is exact:
+    gap <= 2T/S is evaluated as gap * S <= 2 * T.
     """
-    _check_site_count(S)
-    if not isinstance(T, int) or isinstance(T, bool) or T < 1:
-        raise DomainError(f"horizon must be a positive integer, got {_clip(T)}")
-    seq = [-1, *sorted(retained), T]
+    _check_sites_and_horizon(S, T)
+    seq = [-1, *retained, T]
+    for x in seq[1:-1]:
+        if not 0 <= x < T:
+            raise DomainError(f"retained time {_clip(x)} is outside [0, T={T})")
+    seq.sort()
     max_gap = max(b - a for a, b in zip(seq, seq[1:]))
     passed = max_gap <= 1 or max_gap * S <= 2 * T
     return GapCheck(passed, max_gap)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import streamsieve.lookup
 from streamsieve import (
@@ -25,7 +27,7 @@ from streamsieve import (
     selection_stream,
     site_selection,
 )
-from streamsieve.algorithms import MAX_STEADY_T
+from streamsieve.algorithms import MAX_STEADY_T, _GreedyCurator, _layout
 
 from reference_rules import epoch_walk_lookup, replay_last_writers
 
@@ -203,6 +205,36 @@ def test_tables_at_several_Ts_match_replay(algo, S, Ts):
     assert len({id(table) for table in tables}) == len(Ts)
     for table, (T, replayed) in zip(tables, _replayed_tables(algo, S, Ts)):
         assert table == replayed, (algo, S, T)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("S", [4, 8, 16, 64])
+@pytest.mark.parametrize("algo", [STRETCHED, TILTED], ids=["stretched", "tilted"])
+def test_a_curator_table_matches_replay(algo, S, data):
+    """A greedy curator's ``table()`` is the replayed table at every T that
+    one ``skip_to`` seek passes, across the fill (S - 1, S, S + 1) and to
+    capacity or 2**12; so is the table of a curator resumed, at one of those
+    Ts, from one stepped there arrival by arrival."""
+    deep = min(_layout(algo, S)[1], 1 << 12)
+    drawn = data.draw(st.lists(st.integers(0, deep), max_size=6))
+    Ts = sorted({S - 1, S, S + 1, deep, *drawn})
+    replayed = lookup_replay(algo, S, deep, at=Ts)
+    tilted = algo == TILTED
+    curator = _GreedyCurator(S, tilted)
+    for T, table in zip(Ts, replayed):
+        curator.skip_to(T)
+        assert curator.table() == table, T
+    at = data.draw(st.sampled_from(Ts))
+    stepped = _GreedyCurator(S, tilted)
+    for _ in range(at):
+        stepped.step()
+    resumed = _GreedyCurator(S, tilted)
+    resumed.resume(at, list(stepped.times), list(stepped.sites))
+    for T, table in zip(Ts, replayed):
+        if T >= at:
+            resumed.skip_to(T)
+            assert resumed.table() == table, (at, T)
 
 
 def test_replay_stops_match_separate_replays():

@@ -59,6 +59,9 @@ def test_gap_check_examples():
     passed, max_gap = check_steady_gap({1, 3, 5, 7}, 4, 9)
     assert passed and max_gap == 2
     assert check_steady_gap({7}, 4, 8).passed is False
+    # a time outside [0, T) has no gap: the first one is named
+    with pytest.raises(DomainError, match=r"retained time 9 is outside \[0, T=8\)"):
+        check_steady_gap([3, 9, -5], 4, 8)
 
 
 def test_gap_check_bound_is_exact():
@@ -127,6 +130,9 @@ def test_checkers_on_greedy_replays():
         (lambda: needed_set_steady(4, 0), DomainError),
         (lambda: check_steady_gap([0], 4, -1), DomainError),
         (lambda: check_steady_gap([0], 3, 8), ConfigurationError),
+        # every retained time lies in [0, T)
+        (lambda: check_steady_gap([9], 4, 8), DomainError),
+        (lambda: check_steady_gap([-5], 4, 2), DomainError),
         (lambda: window_coverage_metric([0], 16, "recency"), ConfigurationError),
         (lambda: window_coverage_metric([0], 1, "age"), DomainError),
         (lambda: density_monotonicity_check({0}, 64, "sideways", 2), ConfigurationError),
@@ -149,7 +155,8 @@ def test_checkers_on_greedy_replays():
         (lambda: run_benchmark(STEADY, [4, 8], (w for w in [(0, 4)]), 1), ConfigurationError),
     ],
     ids=[
-        "needed-S", "needed-T", "gap-T", "gap-S", "coverage-mode", "coverage-T",
+        "needed-S", "needed-T", "gap-T", "gap-S", "gap-time-past-T", "gap-negative-time",
+        "coverage-mode", "coverage-T",
         "density-direction", "density-T", "bench-reversed-window", "bench-triple-window",
         "bench-int-window", "bench-window-past-replay-cap", "bench-steady-window-of-2**64-1",
         "bench-deep-steady-window-past-replay-cap", "bench-replicates",
