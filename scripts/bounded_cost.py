@@ -68,10 +68,19 @@ ROWS = [
     ("stretched S=1024 reload at T=2**22", 5, _reload(
         "from streamsieve import STRETCHED, Surface\n"
         "Surface.from_hex(STRETCHED, 1024, 2**22, 8, '00' * 1024)"), None),
-    # a stretched write scans the gap buckets once: about 2.6 s on a 2-vCPU box
+    # a stretched write scans the runs once: about 2.6 s on a 2-vCPU box
     ("stretched S=2**16 reload at T=2**22", 15, _reload(
         "from streamsieve import STRETCHED, Surface\n"
         "Surface.from_hex(STRETCHED, 2**16, 2**22, 8, '00' * 2**16)"), None),
+    # the largest legal greedy dumps: a step's cost does not grow with S, so
+    # about 7.7 s tilted and 2.0 s stretched on a 2-vCPU box (an O(S) step
+    # took about 87 min tilted, extrapolated, and minutes stretched)
+    ("tilted S=2**20 reload at T=2**22", 30, _reload(
+        "from streamsieve import TILTED, Surface\n"
+        "Surface.from_hex(TILTED, 2**20, 2**22, 8, '00' * 2**20)"), None),
+    ("stretched S=2**20 reload at T=2**22", 10, _reload(
+        "from streamsieve import STRETCHED, Surface\n"
+        "Surface.from_hex(STRETCHED, 2**20, 2**22, 8, '00' * 2**20)"), None),
     # the largest legal dump, every slot at its widest value: a linear pack
     # (the former shift loop: about 24 min, extrapolated)
     ("to_hex of the largest legal surface", 5, [sys.executable, "-c",

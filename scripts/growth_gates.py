@@ -5,14 +5,16 @@ process does not.  Each gate times one call at S=2**12 and at S=2**16, 16
 times the size, interleaved, best of 9.  The small size is timed over 16
 calls, so both samples handle as many slots, and the ratio is that of one
 call to one call.  A linear call reads about 16x and a quadratic one 256x;
-a gate fails above 64x, halfway between the two on a log scale.  The
-script prints each gate's times and ratio, and exits 1 when any gate fails.
+a linear gate fails above 64x, halfway between the two on a log scale.  A
+flat call reads about 1x, and a flat gate fails above 4x, a quarter of the
+way to linear.  The script prints each gate's times and ratio, and exits 1
+when any gate fails.
 
-The gates: pack and unpack at 1, 8 and 64 bits; ``Surface.to_hex`` at the
-same widths, from the typed slot array a reload leaves;
-``lookup_steady_fast`` at T=2**64-1; and one tilted greedy step past the
-fill, with both curators stepped to the same T=2**17 first (about 3 s on a
-2-vCPU box), whose list edits are O(S).
+The linear gates: pack and unpack at 1, 8 and 64 bits; ``Surface.to_hex``
+at the same widths, from the typed slot array a reload leaves; and
+``lookup_steady_fast`` at T=2**64-1.  The flat gate: one tilted greedy
+step past the fill, with both curators stepped to the same T=2**17 first
+(under a second on a 2-vCPU box), whose edits are O(runs), not O(S).
 
 The package need only be importable, as from a checkout:
 
@@ -30,7 +32,7 @@ from streamsieve.algorithms import _GreedyCurator
 
 SMALL, LARGE = 2**12, 2**16
 REPEATS = 9
-LIMIT = 64
+LINEAR, FLAT = 64, 4
 
 
 def _slots(S: int, value_bits: int) -> list[int]:
@@ -67,13 +69,13 @@ def _tilted_step(S: int):
 
 
 # (the call and its width, a maker that takes S and returns the call on
-# fixed inputs of that size)
+# fixed inputs of that size, the largest ratio allowed)
 GATES = [
-    *((f"pack_slots_hex {bits}-bit", _pack(bits)) for bits in (1, 8, 64)),
-    *((f"unpack_slots_hex {bits}-bit", _unpack(bits)) for bits in (1, 8, 64)),
-    *((f"typed to_hex {bits}-bit", _to_hex(bits)) for bits in (1, 8, 64)),
-    ("lookup_steady_fast T=2**64-1", lambda S: lambda: lookup_steady_fast(S, 2**64 - 1)),
-    ("tilted step at T=2**17", _tilted_step),
+    *((f"pack_slots_hex {bits}-bit", _pack(bits), LINEAR) for bits in (1, 8, 64)),
+    *((f"unpack_slots_hex {bits}-bit", _unpack(bits), LINEAR) for bits in (1, 8, 64)),
+    *((f"typed to_hex {bits}-bit", _to_hex(bits), LINEAR) for bits in (1, 8, 64)),
+    ("lookup_steady_fast T=2**64-1", lambda S: lambda: lookup_steady_fast(S, 2**64 - 1), LINEAR),
+    ("tilted step at T=2**17", _tilted_step, FLAT),
 ]
 
 
@@ -94,14 +96,14 @@ def _best_of(small, large) -> tuple[float, float]:
 
 def main() -> int:
     failed = 0
-    for name, make in GATES:
+    for name, make, limit in GATES:
         small, large = _best_of(make(SMALL), make(LARGE))
         ratio = large / small
-        failed += ratio > LIMIT
-        verdict = "ok" if ratio <= LIMIT else "FAILED"
+        failed += ratio > limit
+        verdict = "ok" if ratio <= limit else "FAILED"
         print(f"{name}: S=2**12 {small * 1e3:.3f} ms, S=2**16 {large * 1e3:.3f} ms, "
-              f"{ratio:.1f}x of at most {LIMIT}x, {verdict}", flush=True)
-    print(f"{len(GATES) - failed} of {len(GATES)} gates within {LIMIT}x")
+              f"{ratio:.1f}x of at most {limit}x, {verdict}", flush=True)
+    print(f"{len(GATES) - failed} of {len(GATES)} gates within their limits")
     return 1 if failed else 0
 
 

@@ -13,10 +13,12 @@ The checkout itself is never edited.
 The mutants, each killed by tests of its own:
 
 * the greedy curator: both tie rules, each of the three refiles an
-  eviction makes, a fill bound that takes the filling arrival too, the
-  two bisect-free cases of ``_rebucket`` taken for every refile (only
-  resumed and stretched states tell them apart), and a ``table()`` that
-  pairs times with the wrong sites once evictions reorder them;
+  eviction makes, the left neighbour's new gap measured to the evicted
+  item instead of to its new right neighbour, an emptied run left in the
+  list of runs, a fill bound that takes the filling arrival too, and a
+  ``table()`` that pairs times with the wrong sites once evictions reorder
+  them (a neighbour that takes a run of its own where it could join the
+  next one is not here: it holds one more run and selects the same);
 * hex interchange: the pack and the unpack byteswap dropped, the pack
   byteswapping the caller's array in place, and a 1-bit table with its
   digits swapped;
@@ -69,38 +71,38 @@ MUTANTS = [
      [NEXT_WRITE, TESTS + "test_greedy_matches_fraction_oracle"],
      "a stretched tie goes to the smaller time"),
     (ALGORITHMS,
-     "if idx:  # the left neighbour",
+     "if h:  # the left neighbour",
      "if 0:  # the left neighbour",
      [SCAN],
      "the evicted item's left neighbour is refiled"),
     (ALGORITHMS,
-     "if idx + 1 < last:  # an interior right neighbour",
+     "if h < len(runs):  # an interior right neighbour",
      "if 0:  # an interior right neighbour",
      [SCAN],
      "the evicted item's interior right neighbour is refiled"),
     (ALGORITHMS,
-     "if idx < last:  # the previous newest",
-     "if 0:  # the previous newest",
+     "if run[0] == g:\n                    run[2].append(m)",
+     "if run[0] == g:\n                    pass",
      [SCAN],
-     "the previous newest joins a bucket"),
+     "the previous newest joins the last run"),
+    (ALGORITHMS,
+     "g += (runs[h][1] if h < len(runs) else m) - x",
+     "g += x - x",
+     [SCAN],
+     "the left neighbour's new gap reaches to its new right neighbour"),
+    (ALGORITHMS,
+     "if not items:\n                    del runs[h]\n",
+     "if False:\n                    del runs[h]\n",
+     [SCAN, DEPTH],
+     "the winner's run leaves the list of runs once it is empty"),
     (ALGORITHMS,
      "fill = range(self.T, min(T, self.S - 1))",
      "fill = range(self.T, min(T, self.S))",
      [TESTS + "test_a_seek_takes_the_fill_as_one_step_per_arrival"],
-     "only step takes the arrival that fills the buffer, and files it"),
+     "a seek leaves the filling arrival to step, which schedules a stretched curator"),
     (ALGORITHMS,
-     "del bucket[0 if bucket[0] == b else bisect_left(bucket, b)]",
-     "del bucket[0]",
-     [DEPTH, NEXT_WRITE],
-     "a refile leaves its bucket at the front only in tilted states stepped from 0"),
-    (ALGORITHMS,
-     "elif bucket[-1] < b:",
-     "elif True:",
-     [DEPTH, NEXT_WRITE],
-     "a refile joins its bucket at the back only in tilted states stepped from 0"),
-    (ALGORITHMS,
-     "zip(self.times, self.sites)",
-     "zip(self.times, sorted(self.sites))",
+     "for tbar, k in self.where.items():",
+     "for tbar, k in zip(self.where, sorted(self.where.values())):",
      [LOOKUP_TESTS + "test_a_curator_table_matches_replay"],
      "table() pairs each time with its own site, which evictions reorder"),
     (SURFACE,

@@ -34,19 +34,23 @@ cross-multiplication.  A tilted score is one float quotient, whose order is
 exact because its terms stay below 2**25: every path holds a tilted layout
 to REPLAY_CAP.  Ties prefer discard and then the smallest candidate.
 Both profiles are evaluated by stepping this rule forward from T=0
-(``_GreedyCurator``), and a step never scans all S items: an interior
-item's gap only changes when a neighbour is evicted, and among items
-sharing a gap the heaviest one (oldest for tilted, newest for stretched)
-always scores strictly lowest, so a write compares one candidate per
-distinct gap.  Every write then takes one path: evict, append the arrival,
-and refile the evicted item's two neighbours and the previous newest.  One
-loop over local state takes any run of arrivals, and a seek hands it all
-but the fill's first S - 1: those only append, so a seek appends them at
-once.  Tilted writes every arrival.  Stretched writes rarely, and its state
-changes only in T between two writes, so one scan of the buckets after each
-write finds both the next write time and the item it evicts; a discard
-costs one compare, and the loop jumps from write to write.  Every
-sequential caller in the package (ingest, reload, lookup, explode, vector
+(``_GreedyCurator``), and a step never scans all S items.  The curator
+keeps every item but the newest in runs: stretches of consecutive
+retained items that share one gap.  An interior item's gap only changes
+when a neighbour is evicted, and within a run the heaviest item (the
+oldest for tilted, the newest for stretched) always scores strictly
+lowest, so a write scores one end of each run.  Every write then takes
+one path: evict that end, append the arrival, and move the evicted item's
+two neighbours and the previous newest to runs of their new gaps.  Each
+move is an edit at a deque's end or in the short list of runs, so a step
+costs O(runs) whatever S is.  One loop over local state takes any run of
+arrivals, and a seek hands it all but the fill's first S - 1: those only
+append, so a seek appends them at once.  Tilted writes every arrival.
+Stretched writes rarely, and its state changes only in T between two
+writes, so one scan of the runs after each write finds both the next write
+time and the item it evicts; a discard costs one compare, and the loop
+jumps from write to write.  Every sequential caller in the package
+(ingest, reload, lookup, explode, vector
 generation) steps a ``Selector``, which validates (algo, S) once and owns
 its curators, or a curator of its own.  Only the pointwise
 ``site_selection``/``*_assign``, and so ``check_vectors``, go through a
@@ -70,7 +74,7 @@ from __future__ import annotations
 
 import threading
 from array import array
-from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
 from math import inf
 
@@ -377,26 +381,29 @@ def _steady_site(S: int, T: int) -> int | None:
 class _GreedyCurator:
     """Incremental replay state for the weighted-eviction profiles.
 
-    Keeps the retained ingest times sorted in ``times``, the site each
-    occupies in ``sites``, and files every item but the newest in a gap
-    bucket: gap -> sorted times, where an item's gap is n = next - prev
-    (prev = -1 before the oldest).  Only step(), ``skip_to``, _schedule
-    and ``resume`` read the lists; the rest of the library reads ``table()``.
-    step() takes the arrivals up to an end in one loop over local state
-    and returns the last one's site (None = discard).  The fill only
-    appends, so ``skip_to`` appends all of it but its last arrival, and
-    step() takes that one and files the full buffer in one slice.
+    Keeps every retained ingest time but the newest in ``runs``, oldest
+    first: each run is [gap, front, items], a deque ``items`` of consecutive
+    retained times that all have gap n = next - prev (prev = -1 before the
+    oldest), and ``front`` is items[0], kept beside it for the tilted scan.
+    The newest time is ``newest``, and ``where`` maps each retained time to
+    its site.  ``table()`` reads ``where``; ``times`` and ``sites`` are
+    O(S) ordered reads, for ``resume`` and the tests.  step() takes the
+    arrivals up to an end in one loop over local state and returns the
+    last one's site (None = discard).  The fill only appends, so
+    ``skip_to`` appends all of it but its last arrival, and step() takes
+    that one.
 
-    Why one candidate per bucket is exact.  An interior item b scores n / w,
-    where n is fixed until a neighbour is evicted and the weight w is T - b
-    (tilted) or b + 1 (stretched).  Items with the same n have distinct
-    weights, so the one with the largest weight scores strictly lowest: the
-    oldest for tilted, the newest for stretched.  No other member of the
-    bucket can win or tie, so comparing one extreme per bucket under the
-    tie rule (discard first, then the smallest time) picks exactly what a
-    scan of all S items picks.  The newest item's score and the stretched
-    discard (T - newest) / (T + 1) depend on T, so they are scored directly;
-    a stretched newest item, (T - prev) / (newest + 1), always scores above
+    Why one end per run is exact, for any retained set.  An interior item b
+    scores n / w, where n is fixed until a neighbour is evicted and the
+    weight w is T - b (tilted) or b + 1 (stretched).  The items of a run
+    share n and have distinct weights, so the one with the largest weight
+    scores strictly lowest: the front for tilted, the back for stretched.
+    No other member of the run can win or tie, so scoring that end of
+    every run under the tie rule (discard first, then the smallest time)
+    picks exactly what a scan of all S items picks.  Two runs may share a
+    gap; each is scored.  The newest item's score and the stretched discard
+    (T - newest) / (T + 1) depend on T, so they are scored directly; a
+    stretched newest item, (T - prev) / (newest + 1), always scores above
     that discard and is skipped.  Stretched compares by exact integer
     cross-multiplication.
 
@@ -411,41 +418,50 @@ class _GreedyCurator:
     their quotients keep their order.  Equal fractions round to the same
     double, so the tie rule sees the ties the integers see.
 
-    An eviction takes one path: the winner leaves its bucket (the newest is
-    in none), the lists drop it and append the arrival, and the three items
-    whose gaps changed are refiled: the left neighbour, an interior right
-    neighbour and the previous newest, now interior and the last of its
-    bucket.  A discard changes no bucket.  Stepped from 0, every tilted
-    refile checked left its old bucket at the front and joined its new one
-    at the back, which _rebucket does without a bisect; nothing rests on
-    it, since resumed and stretched states take the bisects.  A step
-    therefore costs one comparison per distinct gap (about 2 more per
-    doubling of T/S) plus O(log S) bucket edits and one list deletion, not
-    an O(S) scan.
+    Why every edit is O(1) or O(runs).  An eviction changes the gaps of
+    three items alone: the winner's left neighbour, its right neighbour
+    (unless that is the newest) and the previous newest, which becomes
+    interior at the back of the last run.  The winner sits at one end of
+    its run, so each neighbour sits at the end of a run next to it, and
+    each gap only grows, so each neighbour leaves its run.  It joins the
+    adjacent run when that run has its new gap, and otherwise takes a run
+    of its own: the run the left neighbour emptied, if any, so the usual
+    tilted step makes no new deque.  Every move is a deque ``pop``,
+    ``popleft``, ``append`` or ``appendleft``, and at most a few inserts or
+    deletes in the list of runs; the scan that picks the winner notes the
+    index of its run, so nothing searches the list.  A discard changes
+    nothing.  A new neighbour is never spliced with a whole
+    run, so two adjacent runs can share a gap (stretched states have a few
+    more runs than gap buckets); that costs a score, not exactness.  Stepped
+    from 0, every tilted state checked had one run per gap bucket, gaps
+    falling strictly toward the newest: at most 5 runs at S=1024 by
+    T=1792, 20 at S=32 and 19 at S=64 by T=4096.  Stretched stepped from 0
+    held 43 runs (42 buckets) at S=64 by T=6000, and 103 (94) at S=1024 by
+    T=8000.
 
-    Stretched discards cost one compare, and a write one scan of the
-    buckets, in _schedule.  ``next_write`` is a lower bound on the next
-    arrival that can be written, 0 while every arrival is (tilted, and any
-    profile in the fill), and raised only by _schedule.  Why it is exact.
-    Between two writes only T changes: the buckets, the newest time m and
-    every interior score g / (b + 1) stay fixed, while the discard score
-    (T - m) / (T + 1) rises with T.  Bucket (g, b), b its newest member,
-    beats the discard exactly when g * (T + 1) < (T - m) * (b + 1), i.e.
-    T * (b + 1 - g) > g + m * (b + 1).  So the bucket with the least
+    Stretched discards cost one compare, and a write one scan of the runs,
+    in _schedule.  ``next_write`` is a lower bound on the next arrival that
+    can be written, 0 while every arrival is (tilted, and any profile in
+    the fill), and raised only by _schedule.  Why it is exact.  Between
+    two writes only T changes: the runs, the newest time m and every
+    interior score g / (b + 1) stay fixed, while the discard score
+    (T - m) / (T + 1) rises with T.  Run (g, b), b its back, beats the
+    discard exactly when g * (T + 1) < (T - m) * (b + 1), i.e.
+    T * (b + 1 - g) > g + m * (b + 1).  So the run with the least
     (g / (b + 1), b), the tie rule's pick, beats it first and wins there:
-    _schedule keeps it as ``winner`` and solves its inequality alone.  If
-    b + 1 <= g that never holds, and next_write is _NEVER (S=4 and S=8 get
-    there).  Otherwise it holds exactly from
+    _schedule keeps its index as ``winner`` and solves its inequality
+    alone.  If b + 1 <= g that never holds, and next_write is _NEVER (S=4
+    and S=8 get there).  Otherwise it holds exactly from
     T = floor((g + m * (b + 1)) / (b + 1 - g)) + 1 on; a tie, T equal to
     the floor, goes to the discard.  At T = m + 1 the inequality fails for
-    every bucket, since b + 1 <= m < g * (m + 2); so the schedule is
-    recomputed after each write, from the buckets as the write left them,
-    and always lies past it.  It holds for any retained set, so ``resume``
-    computes it too.  A step at or past ``next_write`` evicts the winner,
-    unchanged since, without a second scan.
+    every run, since b + 1 <= m < g * (m + 2); so the schedule is
+    recomputed after each write, from the runs as the write left them, and
+    always lies past it.  It holds for any retained set, so ``resume``
+    computes it too.  A step at or past ``next_write`` evicts the back of
+    the winner, unchanged since, without a second scan.
     """
 
-    __slots__ = ("S", "tilted", "T", "times", "sites", "buckets", "next_write", "winner")
+    __slots__ = ("S", "tilted", "T", "runs", "newest", "where", "next_write", "winner")
 
     def __init__(self, S: int, tilted: bool):
         self.S = S
@@ -455,40 +471,67 @@ class _GreedyCurator:
     def resume(self, T: int, times: list[int], sites: list[int]) -> None:
         """Adopt a retained set: ascending ingest times and their sites."""
         self.T = T
-        self.times = times
-        self.sites = sites
-        self.buckets = buckets = {}
-        prev = -1
+        self.where = dict(zip(times, sites))
+        self.newest = times[-1] if times else -1
+        self.runs = runs = []
+        gap, prev = None, -1
         for i in range(len(times) - 1):
-            # ascending times, so every bucket comes out sorted
-            buckets.setdefault(times[i + 1] - prev, []).append(times[i])
-            prev = times[i]
+            b = times[i]
+            if times[i + 1] - prev != gap:
+                gap = times[i + 1] - prev
+                items = deque()
+                runs.append([gap, b, items])
+            items.append(b)
+            prev = b
         if self.tilted or T < self.S:
             self.next_write = 0  # every arrival from here writes
         else:
             self._schedule()
 
+    @property
+    def times(self) -> list[int]:
+        """The retained ingest times, ascending, in O(S)."""
+        times = [b for _, _, items in self.runs for b in items]
+        if self.where:
+            times.append(self.newest)
+        return times
+
+    @property
+    def sites(self) -> list[int]:
+        """The site of each retained time, in the order of ``times``."""
+        where = self.where
+        return [where[b] for b in self.times]
+
     def _schedule(self) -> None:
-        # stretched after the fill: the next write evicts from the bucket
+        # stretched after the fill: the next write evicts the back of the run
         # with the least (g / (b + 1), b), at the first arrival it outscores
-        g, w, winner = 1, 0, None  # 1 / 0 scores above every bucket
-        for gap, bucket in self.buckets.items():
-            weight = bucket[-1] + 1
+        g, w, winner = 1, 0, -1  # 1 / 0 scores above every run
+        i = 0
+        for gap, _, items in self.runs:
+            weight = items[-1] + 1
             x = gap * w
             y = g * weight
             if x <= y and (x < y or weight < w):
-                g, w, winner = gap, weight, bucket
-        self.winner = g, w - 1, winner
-        self.next_write = (g + self.times[-1] * w) // (w - g) + 1 if w > g else _NEVER
+                g, w, winner = gap, weight, i
+            i += 1
+        self.winner = winner
+        self.next_write = (g + self.newest * w) // (w - g) + 1 if w > g else _NEVER
 
     def skip_to(self, T: int) -> None:
         """Advance to arrival T; a T at or behind the curator is a no-op.
         The fill only appends (arrival t to site t), so all of it but its
         last arrival is taken at once; one ``step`` takes the rest."""
         fill = range(self.T, min(T, self.S - 1))
-        self.times += fill
-        self.sites += fill
-        self.T += len(fill)
+        if fill:
+            self.where.update(zip(fill, fill))
+            # every time but the newest is interior, at gap 2
+            interior = range(max(fill.start - 1, 0), fill.stop - 1)
+            if self.runs:
+                self.runs[0][2].extend(interior)
+            elif interior:
+                self.runs.append([2, 0, deque(interior)])
+            self.newest = fill.stop - 1
+            self.T = fill.stop
         if self.T < T:
             self.step(T)
 
@@ -501,85 +544,146 @@ class _GreedyCurator:
                 return None  # stretched, between two writes
             end = T + 1
         S, tilted = self.S, self.tilted
-        times, sites, buckets = self.times, self.sites, self.buckets
-        last = len(times) - 1
+        runs, where, m = self.runs, self.where, self.newest
         while T < end:
             if T < self.next_write:  # stretched, between two writes: jump
                 T, site = min(self.next_write, end), None
                 continue
-            if T < S:
-                times.append(T)
-                sites.append(T)
-                site, T, last = T, T + 1, last + 1
-                if T == S:  # full: times are 0..S-1, so every interior gap is 2
-                    self.buckets = buckets = {2: times[:-1]}
-                    if not tilted:
-                        self._schedule()
+            if T < S:  # the fill: arrival T goes to site T
+                if runs:  # the previous newest is interior, at gap 2
+                    runs[0][2].append(m)
+                elif T:
+                    items = deque()
+                    items.append(m)
+                    runs.append([2, m, items])
+                where[T] = site = m = T
+                T += 1
+                if T == S and not tilted:
+                    self.newest = m
+                    self._schedule()
                 continue
-            # best is the winner's bucket; None while the newest item leads
+            # h is the index of the winner's run; -1 while the newest item leads
             if tilted:
                 # the arrival's age weight is 0, so tilted never discards; ties
                 # go to the smaller time.  A score is one float, exact in order
                 # below 2**25 (class docstring); an age of 0 scores inf
-                best_b = times[last]
-                best_s = (T - times[last - 1]) / (T - best_b) if T > best_b else inf
-                best_n = best = None
-                for g, bucket in buckets.items():
-                    b = bucket[0]
+                best_b = m
+                best_s = (T - runs[-1][2][-1]) / (T - m) if T > m else inf
+                h = -1
+                i = 0
+                for g, b, items in runs:
                     s = g / (T - b)
                     if s <= best_s and (s < best_s or b < best_b):
-                        best_s, best_n, best_b, best = s, g, b, bucket
+                        best_s, best_b, h = s, b, i
+                    i += 1
             else:
                 # T >= next_write, so _schedule's winner beats the discard
-                best_n, best_b, best = self.winner
-            idx = last if best is None else bisect_left(times, best_b)
-            if idx < last:  # the winner leaves its bucket; the newest is in none
-                del best[0 if tilted else -1]
-                if not best:
-                    del buckets[best_n]
-            site = sites.pop(idx)
-            del times[idx]
-            times.append(T)
-            sites.append(site)
-            # refile, at their new indices, the three items whose gaps changed
-            prev = times[idx - 1] if idx else -1
-            if idx:  # the left neighbour now reaches to the right one, or to T
-                pp = times[idx - 2] if idx > 1 else -1
-                _rebucket(buckets, prev, best_b - pp, times[idx] - pp)
-            if idx + 1 < last:  # an interior right neighbour now reaches back to prev
-                nn = times[idx + 1]
-                _rebucket(buckets, times[idx], nn - best_b, nn - prev)
-            if idx < last:  # the previous newest is interior now, and newer than all
-                buckets.setdefault(T - times[last - 2], []).append(times[last - 1])
+                h = self.winner
+            if h < 0:
+                # the newest leaves, and its left neighbour L now reaches to T.
+                # It never joins the run before: that run's back p would have
+                # scored (T - p) / (T - p) = 1, below the newest's
+                # (T - L) / (T - m) > 1, and won
+                x = m
+                run = runs[-1]
+                items = run[2]
+                left = items.pop()
+                g = run[0] + T - x
+                if items:
+                    items = deque()
+                    items.append(left)
+                    runs.append([g, left, items])
+                else:
+                    items.append(left)
+                    run[0] = g
+            else:
+                # the winner leaves one end of its run.  Its left neighbour
+                # ends runs[h - 1] and its right one starts runs[h], or is
+                # the newest; both now reach further, so both change runs
+                run = runs[h]
+                items = run[2]
+                if tilted:
+                    x = items.popleft()
+                    if items:
+                        run[1] = items[0]
+                else:
+                    x = items.pop()
+                if not items:
+                    del runs[h]
+                elif not tilted:
+                    h += 1
+                left, free = -1, None  # free: an emptied run at h - 1, kept for reuse
+                if h:  # the left neighbour now reaches to the right one
+                    run = runs[h - 1]
+                    g, _, items = run
+                    left = items.pop()
+                    g += (runs[h][1] if h < len(runs) else m) - x
+                    if items:  # older items stay in its run: a run of its own
+                        items = deque()
+                        items.append(left)
+                        runs.insert(h, [g, left, items])
+                        h += 1
+                    elif h > 1 and runs[h - 2][0] == g:  # it joins the run before
+                        runs[h - 2][2].append(left)
+                        free = run
+                    else:  # alone as it was, at its new gap
+                        items.append(left)
+                        run[0] = g
+                if h < len(runs):  # an interior right neighbour now reaches back to left
+                    run = runs[h]
+                    g, right, items = run
+                    items.popleft()
+                    if items:
+                        run[1] = items[0]
+                    g += x - left
+                    before = h - 2 if free else h - 1  # left's run, -1 if none
+                    if before >= 0 and runs[before][0] == g:  # it joins left's run
+                        runs[before][2].append(right)
+                    elif not items and h + 1 < len(runs) and runs[h + 1][0] == g:
+                        run = runs[h + 1]  # it joins the run after
+                        run[2].appendleft(right)
+                        run[1] = right
+                    elif free:  # it takes the run left emptied
+                        free[0] = g
+                        free[1] = right
+                        free[2].append(right)
+                        free = None
+                    elif items:  # a run of its own, before the rest of its old one
+                        items = deque()
+                        items.append(right)
+                        runs.insert(h, [g, right, items])
+                    else:  # its emptied run, at its new gap
+                        items.append(right)
+                        run[0] = g
+                    if not items:
+                        del runs[h]
+                if free:
+                    del runs[h - 1]
+                # the previous newest is interior now, and newer than all
+                run = runs[-1]
+                g = T - run[2][-1]
+                if run[0] == g:
+                    run[2].append(m)
+                else:
+                    items = deque()
+                    items.append(m)
+                    runs.append([g, m, items])
+            where[T] = site = where.pop(x)
+            m = T
             T += 1
             if not tilted:
+                self.newest = m
                 self._schedule()
         self.T = T
+        self.newest = m
         return site
 
     def table(self) -> list:
         """The ingest time each site holds, None where none is, in O(S)."""
         table: list = [None] * self.S
-        for tbar, k in zip(self.times, self.sites):
+        for tbar, k in self.where.items():
             table[k] = tbar
         return table
-
-
-def _rebucket(buckets: dict[int, list[int]], b: int, old: int, new: int) -> None:
-    # move interior time b from bucket old to bucket new, in time order; the
-    # front-out, back-in refiles seen in tilted curators take no bisect
-    bucket = buckets[old]
-    if len(bucket) == 1:
-        del buckets[old]
-    else:
-        del bucket[0 if bucket[0] == b else bisect_left(bucket, b)]
-    bucket = buckets.get(new)
-    if bucket is None:
-        buckets[new] = [b]
-    elif bucket[-1] < b:
-        bucket.append(b)
-    else:
-        insort(bucket, b)
 
 
 _memo_lock = threading.Lock()

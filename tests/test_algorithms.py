@@ -816,18 +816,29 @@ def test_seek_refuses_to_go_back():
         assert _selector_state(selector) == before
 
 
+def _gap_walk(curator):
+    """(time, gap) for every retained time but the newest, oldest first,
+    from the curator's runs; each run is non-empty and holds its front."""
+    walk = []
+    for gap, front, items in curator.runs:
+        assert items and items[0] == front, (gap, front, list(items))
+        walk += ((b, gap) for b in items)
+    return walk
+
+
 def _assert_steps_match(curator, scan, steps, label):
     for step in range(steps):
         T = scan.T
         assert curator.step() == scan.step(), (label, T)
-        # the buckets and the next write kept up step by step equal those
-        # rebuilt from scratch: up to S=16 after every step past the fill,
-        # so after each eviction of the oldest item, of the one before the
-        # newest and of the newest, and otherwise after the last
+        # the runs and the next write kept up step by step give the (time,
+        # gap) pairs and the next write of a curator resumed from the
+        # ordered walk: up to S=16 after every step past the fill, so after
+        # each eviction of the oldest item, of the one before the newest and
+        # of the newest, and otherwise after the last
         if curator.S <= 16 and curator.T >= curator.S or step + 1 == steps:
             rebuilt = _GreedyCurator(curator.S, curator.tilted)
-            rebuilt.resume(curator.T, list(curator.times), list(curator.sites))
-            assert curator.buckets == rebuilt.buckets, (label, T)
+            rebuilt.resume(curator.T, curator.times, curator.sites)
+            assert _gap_walk(curator) == _gap_walk(rebuilt), (label, T)
             assert curator.next_write == rebuilt.next_write, (label, T)
     assert (curator.times, curator.sites) == (scan.times, scan.sites), label
 
@@ -846,40 +857,36 @@ def test_tilted_skip_to_matches_stepping(S, stop):
     for T in sorted(checkpoints):
         while stepped.T < T:
             stepped.step()
-        state = (stepped.times, stepped.sites, stepped.buckets, stepped.next_write)
+        state = _curator_state(stepped)
         fresh = _GreedyCurator(S, True)
         fresh.skip_to(T)
         chained.skip_to(T)
         for curator in (fresh, chained):
-            assert curator.T == T
-            assert (curator.times, curator.sites, curator.buckets, curator.next_write) == state, T
+            assert _curator_state(curator) == state, T
 
 
 # each to capacity or to 2**12, and S=1024 as ingest-greedy reloads it
-FRONT_OUT_BACK_IN = [(S, min(2**12, (1 << S) - 2)) for S in (4, 8, 16, 32, 64)] + [(1024, 1792)]
+TILTED_FROM_0 = [(S, min(2**12, (1 << S) - 2)) for S in (4, 8, 16, 32, 64)] + [(1024, 1792)]
 
 
-@pytest.mark.parametrize("S, stop", FRONT_OUT_BACK_IN)
-def test_a_tilted_curator_refiles_front_out_and_back_in(S, stop, monkeypatch):
-    """Stepped from 0, every tilted gap bucket is a contiguous run of the
-    retained times after each step, and each refile leaves its old bucket
-    at the front and joins its new one at the back: the cases
-    ``_rebucket`` takes without a bisect.  This is observed, not relied
-    on; resumed and stretched states take the bisects."""
-    rebucket = algorithms._rebucket
-
-    def checked(buckets, b, old, new):
-        assert buckets[old][0] == b and buckets.get(new, [-1])[-1] < b, (S, b, old, new)
-        rebucket(buckets, b, old, new)
-
-    monkeypatch.setattr(algorithms, "_rebucket", checked)
+@pytest.mark.parametrize("S, stop", TILTED_FROM_0)
+def test_tilted_runs_are_the_gap_buckets(S, stop):
+    """Stepped from 0, after each step a tilted curator's runs are its gap
+    buckets: each gap's retained times form one run, and gaps fall
+    strictly toward the newest.  So a step scores one run per distinct
+    gap.  This is observed, not relied on: the scan is exact for any
+    split into runs, and resumed and stretched states hold more runs."""
     curator = _GreedyCurator(S, True)
     while curator.T < stop:
         curator.step()
-        index = {t: i for i, t in enumerate(curator.times)}
-        for bucket in curator.buckets.values():
-            i = index[bucket[0]]
-            assert curator.times[i : i + len(bucket)] == bucket, (S, curator.T)
+        times = curator.times
+        buckets = {}
+        for i, b in enumerate(times[:-1]):
+            buckets.setdefault(times[i + 1] - (times[i - 1] if i else -1), []).append(b)
+        runs = {gap: list(items) for gap, _, items in curator.runs}
+        assert len(runs) == len(curator.runs) and runs == buckets, (S, curator.T)
+        gaps = [gap for gap, _, _ in curator.runs]
+        assert gaps == sorted(gaps, reverse=True), (S, curator.T)
 
 
 # every tilted score's terms are at most this: T + 1 at the replay cap
@@ -968,8 +975,12 @@ def test_a_curator_resumed_in_the_fill_matches_a_straight_one(tilted):
 
 
 def _curator_state(c):
-    # a tilted curator, or one in the fill, has no winner yet
-    return c.T, c.times, c.sites, c.buckets, c.next_write, getattr(c, "winner", None)
+    # a tilted curator, or one in the fill, has no winner yet; a stretched
+    # one's is the index of a run, named here by its gap and the time it evicts
+    winner = getattr(c, "winner", None)
+    if winner is not None and winner >= 0:
+        winner = c.runs[winner][0], c.runs[winner][2][-1]
+    return c.T, c.times, c.sites, _gap_walk(c), c.next_write, winner
 
 
 def _selector_state(selector):

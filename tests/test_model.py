@@ -127,9 +127,8 @@ class SurfaceModel(RuleBasedStateMachine):
 
     @rule()
     def explode(self):
-        expected = [
-            (k, tbar, None if tbar is None else self.values[k]) for k, tbar in enumerate(self.times)
-        ]
+        values = self.values
+        expected = [(k, t, None if t is None else values[k]) for k, t in enumerate(self.times)]
         assert explode_row(self.algo, self.S, self.T, self.value_bits, self._text()) == expected
 
     @precondition(lambda self: self.T > 0)
