@@ -421,18 +421,21 @@ class _GreedyCurator:
     Why every edit is O(1) or O(runs).  An eviction changes the gaps of
     three items alone: the winner's left neighbour, its right neighbour
     (unless that is the newest) and the previous newest, which becomes
-    interior at the back of the last run.  The winner sits at one end of
-    its run, so each neighbour sits at the end of a run next to it, and
-    each gap only grows, so each neighbour leaves its run.  It joins the
-    adjacent run when that run has its new gap, and otherwise takes a run
-    of its own: the run the left neighbour emptied, if any, so the usual
-    tilted step makes no new deque.  Every move is a deque ``pop``,
-    ``popleft``, ``append`` or ``appendleft``, and at most a few inserts or
-    deletes in the list of runs; the scan that picks the winner notes the
-    index of its run, so nothing searches the list.  A discard changes
-    nothing.  A new neighbour is never spliced with a whole
-    run, so two adjacent runs can share a gap (stretched states have a few
-    more runs than gap buckets); that costs a score, not exactness.  Stepped
+    interior and joins the last run or starts one after it.  The winner
+    sits at one end of its run, so each neighbour sits at the end of a run
+    next to it.  A neighbour's gap only grows, so it cannot stay among
+    items of its old gap: it joins the adjacent run when that run has its
+    new gap, and otherwise takes a run of its own, reusing a run the
+    eviction emptied where it can, so the usual tilted step makes no new
+    deque.  When the newest itself leaves, only its left neighbour's gap
+    changes; that neighbour is alone in the last run and stays there
+    (step() says why).  Every move is a deque ``pop``, ``popleft``,
+    ``append`` or ``appendleft``, or a run's new gap, plus at most a few
+    inserts or deletes in the list of runs; the scan that picks the winner
+    notes the index of its run, so nothing searches the list.  A discard
+    changes nothing.  A moved neighbour is never spliced with a whole run,
+    so two adjacent runs can share a gap (stretched states have a few more
+    runs than gap buckets); that costs a score, not exactness.  Stepped
     from 0, every tilted state checked had one run per gap bucket, gaps
     falling strictly toward the newest: at most 5 runs at S=1024 by
     T=1792, 20 at S=32 and 19 at S=64 by T=4096.  Stretched stepped from 0
@@ -581,21 +584,12 @@ class _GreedyCurator:
                 h = self.winner
             if h < 0:
                 # the newest leaves, and its left neighbour L now reaches to T.
-                # It never joins the run before: that run's back p would have
-                # scored (T - p) / (T - p) = 1, below the newest's
-                # (T - L) / (T - m) > 1, and won
+                # L is alone in the last run and keeps it at its new gap: its
+                # own left neighbour p would have won, at (m - p) / (T - p) < 1
+                # had it shared L's run, or at 1 had its run had gap T - p,
+                # against the newest's (T - L) / (T - m) > 1
                 x = m
-                run = runs[-1]
-                items = run[2]
-                left = items.pop()
-                g = run[0] + T - x
-                if items:
-                    items = deque()
-                    items.append(left)
-                    runs.append([g, left, items])
-                else:
-                    items.append(left)
-                    run[0] = g
+                runs[-1][0] += T - x
             else:
                 # the winner leaves one end of its run.  Its left neighbour
                 # ends runs[h - 1] and its right one starts runs[h], or is

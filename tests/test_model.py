@@ -148,5 +148,5 @@ class SurfaceModel(RuleBasedStateMachine):
         assert self.surface.written == [tbar is not None for tbar in self.times]
 
 
-SurfaceModel.TestCase.settings = settings(max_examples=60, stateful_step_count=25, deadline=None)
+SurfaceModel.TestCase.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)
 TestSurfaceModel = SurfaceModel.TestCase
